@@ -43,7 +43,7 @@ _FROZEN = "frozen"
 #: stale entries cost time, never correctness, so declared mutators carry
 #: no invalidation obligation.  CC002 still requires the ``@mutates``
 #: declaration — the *intent* to mutate stays explicit.  The declaration
-#: may name the verifier(s) — ``"verified:window_undisturbed"`` — which
+#: may name the verifier(s) — ``"verified:caps_fresh"`` — which
 #: the interprocedural rule IP005 checks; here only the kind matters, so
 #: all comparisons go through :func:`repro.analysis.astutil.dep_kind`.
 _VERIFIED = "verified"

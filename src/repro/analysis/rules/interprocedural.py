@@ -518,7 +518,7 @@ class UnprovenVerifiedReadRule(_StagedRule):
 
     A ``@coherent`` field of kind ``"verified:<fn>"`` names the method
     that re-proves the cached state against ground truth (e.g.
-    ``window_undisturbed`` for perturbation versions).  The contract is
+    ``caps_fresh`` for a store of cap hints).  The contract is
     that *every* consuming read re-proves first; a read path that skips
     the verifier quietly promotes advisory state to trusted state.  This
     rule flags any method of the owning class that reads the field

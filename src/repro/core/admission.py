@@ -538,14 +538,6 @@ class AdmissionResult:
             plans without inspecting capacity — see
             ``AdmissionController._delta_fill_indexed``.  Empty on
             sequential-solver and cache-disabled fills.
-        perturbed: Job ids whose minimum-share plan was *re-filled* this
-            event (not reused by reference from the retained fill) — the
-            only jobs whose slot-0 share may differ from the previous
-            event on this grid.  ``None`` when the producing path cannot
-            bound the set (cold fills, cache replays, the sequential
-            delta walk); consumers holding per-job state keyed on the
-            share (the Algorithm 2 seed index) then rely on their
-            self-validation alone.
     """
 
     admitted: bool
@@ -554,7 +546,6 @@ class AdmissionResult:
     infeasible_job: str | None = None
     degraded: set[str] = field(default_factory=set)
     slack: dict[str, bool] = field(default_factory=dict, repr=False)
-    perturbed: frozenset[str] | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -924,7 +915,6 @@ class AdmissionController:
         infeasible: str | None = None
         zero_plan: np.ndarray | None = None
         reuses = slack_reuses = refills = fast = 0
-        refilled: list[str] = []
         hints = self._warm_hints
         # Rows solved by this event's baseline fill: an unclamped refill
         # whose hinted cap still matches verifies against the stored row
@@ -989,7 +979,6 @@ class AdmissionController:
                     reuses += 1
                     continue
             refills += 1
-            refilled.append(info.job_id)
             old_plan = old_plans[info.job_id] if had_old else None
             free_min = capacity - int(used[:w].max()) if w else capacity
             plan = None
@@ -1063,7 +1052,6 @@ class AdmissionController:
             infeasible_job=infeasible,
             degraded=degraded,
             slack=slack,
-            perturbed=frozenset(refilled),
         )
 
     @mutates("Ledger._plans", "Ledger._used")

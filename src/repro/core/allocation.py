@@ -18,155 +18,49 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_right
+from bisect import bisect_left
 from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.admission import PlanningJob, _emit_plan, progressive_filling
-from repro.core.batch import WarmRowBatch
 from repro.core.plan import Ledger
 from repro.numeric import EPS as _EPS
 from repro.perf import probe
-from repro.perf.coherence import coherent, mutates
-from repro.perf.tables import (
-    batching_enabled,
-    cache_enabled,
-    ladder_consts,
-    note_batch_fill,
-    note_plan_memo_fills,
-    note_warm_fill,
-)
+from repro.perf.coherence import mutates
+from repro.perf.tables import batching_enabled, cache_enabled
 
-__all__ = ["Upgrade", "UpgradeSeedIndex", "allocate_leftover"]
-
-#: Distinguishes "no memo yet" from a memoized verification failure
-#: (stored as ``None``) in the upgrade engine's plan cache.
-_UNCACHED = object()
-
-#: Distinguishes "no entry" from a cached "no improving upgrade" verdict
-#: (stored as ``None``) in the seed index.
-_NO_ENTRY = object()
-
-
-@coherent(_entries="verified:lookup")
-class UpgradeSeedIndex:
-    """Persistent first-proposal verdicts for Algorithm 2's seed pass.
-
-    Pass 1 of :func:`_initial_upgrades` runs the same scalar gate sequence
-    for every job on every scheduling event: read the registered plan's
-    slot-0 size, bisect the size ladder for the next runnable size, and
-    check constraint (7) (throughput must strictly improve).  The verdict —
-    the improving next size, or ``None`` when the job cannot grow — is a
-    pure function of ``(tables_token, current_size)``: the ladder and the
-    throughput table are frozen per token, and at seed time the current
-    size is the job's Algorithm 1 minimum share, which the delta fill
-    reuses by reference for every unperturbed job.  The index caches that
-    verdict per job across events, so steady-state jobs answer with one
-    dict hit and two integer compares instead of the bisect-and-lookup
-    gates.
-
-    Coherence class ``verified``: :meth:`lookup` is both the only reader
-    and the verifier — an entry is used only when its stored token and
-    size match the caller's ground truth, so stale entries (plan moved,
-    tables rebuilt) cost one recompute, never a wrong verdict.  The
-    admission delta pass's ``perturbed`` set additionally drops entries
-    eagerly (:meth:`invalidate`), and :meth:`prune` bounds the dict to
-    the live job set on long traces.  Decision-digest equivalence is
-    structural: a hit returns exactly what the gates would recompute.
-    ``repro.perf.tables.seed_index_disabled`` is the escape hatch (the
-    scheduler then passes no index and pass 1 runs the gates inline).
-    """
-
-    def __init__(self) -> None:
-        self._entries: dict[str, tuple[int, int, int | None]] = {}
-        self.hits = 0
-        self.misses = 0
-        self.invalidations = 0
-
-    @mutates("_entries")
-    def lookup(self, info: PlanningJob, current_size: int) -> int | None:
-        """The improving next size for ``info`` at ``current_size``.
-
-        Returns ``None`` when the job cannot grow (top of its ladder, or
-        the next size does not strictly improve throughput).  Verifier and
-        writer in one: a mismatched or missing entry re-runs the exact
-        gates and overwrites.
-        """
-        entry = self._entries.get(info.job_id, _NO_ENTRY)
-        if (
-            entry is not _NO_ENTRY
-            and entry[0] == info.tables_token
-            and entry[1] == current_size
-        ):
-            self.hits += 1
-            return entry[2]
-        self.misses += 1
-        next_size = info.next_size_after(current_size)
-        if next_size is not None and (
-            info.throughput_table[next_size] <= info.throughput_table[current_size]
-        ):
-            next_size = None
-        self._entries[info.job_id] = (info.tables_token, current_size, next_size)
-        return next_size
-
-    @mutates("_entries")
-    def invalidate(self, perturbed: frozenset[str]) -> None:
-        """Drop the entries of jobs whose minimum share was re-filled."""
-        entries = self._entries
-        for job_id in perturbed:
-            if entries.pop(job_id, None) is not None:
-                self.invalidations += 1
-
-    @mutates("_entries")
-    def prune(self, live_ids: set[str], *, bound: int | None = None) -> int:
-        """Evict entries of departed jobs; returns the eviction count.
-
-        With ``bound``, pruning only happens once the index outgrows it —
-        the common case (index tracks the live set) then costs one length
-        compare instead of a full scan.
-        """
-        if bound is not None and len(self._entries) <= bound:
-            return 0
-        stale = [job_id for job_id in self._entries if job_id not in live_ids]
-        for job_id in stale:
-            del self._entries[job_id]
-        return len(stale)
-
-    def flush_counters(self) -> None:
-        """Move accumulated hit/miss/invalidation counts into the probe."""
-        probe.add_counters(
-            {
-                "alg2_seed_hits": self.hits,
-                "alg2_seed_misses": self.misses,
-                "alg2_seed_invalidations": self.invalidations,
-            }
-        )
-        self.hits = self.misses = self.invalidations = 0
+__all__ = ["Upgrade", "allocate_leftover"]
 
 
 class Upgrade(NamedTuple):
     """A proposed single-step expansion of one job's slot-0 allocation.
 
-    ``available`` snapshots the ledger's unclaimed-capacity vector at
-    proposal time — by *reference*: :meth:`Ledger.available` hands out a
-    frozen array that is rebound, never mutated, on version change, so
-    keeping it costs nothing.  The capacity the tail refill was actually
-    computed against is this snapshot plus the job's own plan, which the
-    revalidation re-adds at pop time (the job's plan cannot have moved
-    while its proposal is in flight — each job has at most one live
-    proposal).  ``None`` for best-effort/degraded proposals, whose plans
-    never reach past slot 0 and therefore depend only on slot-0 capacity.
-    A popped proposal whose ledger version is stale is *revalidated*
-    against the snapshot instead of being rebuilt from scratch — see
-    :func:`_still_valid`.
+    A proposal takes one of three forms, which decide how a popped proposal
+    whose ledger version is stale is *revalidated* instead of rebuilt:
+
+    - **slot-0-only** (``available is None`` and ``cap == 0``): best-effort
+      and degraded jobs, and SLO jobs whose new head alone finishes the
+      work.  The plan never reaches past slot 0, so the proposal stays
+      valid while ``added_gpus`` fits the unclaimed slot-0 capacity.
+    - **unclamped** (``cap > 0``): the tail refill ran entirely below the
+      leftover capacity, so the plan is a pure function of the job's view
+      and ``cap`` (the lemma in :class:`_LadderRows`).  It stays valid
+      while the windowed minimum of availability plus the job's own plan
+      still reaches ``cap``.
+    - **clamped** (``available`` is set): the exact
+      :func:`progressive_filling` refill.  ``available`` snapshots the
+      ledger's unclaimed-capacity vector at proposal time — by
+      *reference*: :meth:`Ledger.available` hands out a frozen array that
+      is rebound, never mutated, on version change.  See
+      :func:`_still_valid`.
 
     A ``NamedTuple`` rather than a dataclass: the upgrade loop constructs
     one per proposal (a seven-figure count per full-scale run) and tuple
     construction skips the frozen-dataclass ``object.__setattr__`` dance.
-    Heap entries order on ``(-priority, tiebreak, job_id, generation)``
-    before ever reaching the payload, so tuple comparison semantics are
-    never exercised.
+    Heap entries order on ``(-priority, tiebreak, job_id)`` before ever
+    reaching the payload (each job has at most one live proposal), so tuple
+    comparison semantics are never exercised.
     """
 
     job_id: str
@@ -180,11 +74,8 @@ class Upgrade(NamedTuple):
     #: applied it becomes the job's *current* cost, so the follow-up
     #: proposal reuses it instead of recomputing the identical product.
     new_cost: float = 0.0
-    #: Whether the snapshot's usable window had at least the job's top
-    #: runnable size free in every slot.  The clamped snapshot vector is
-    #: then the constant ``top`` row, so revalidation reduces to a single
-    #: min over the current window (see :func:`_still_valid`).
-    top_free: bool = False
+    #: The lemma's ``c*`` for unclamped proposals; ``0`` otherwise.
+    cap: int = 0
 
 
 def _gpu_seconds_to_completion(info: PlanningJob, n_gpus: int, slot_seconds: float) -> float:
@@ -195,13 +86,120 @@ def _gpu_seconds_to_completion(info: PlanningJob, n_gpus: int, slot_seconds: flo
     return info.remaining_iterations / throughput * n_gpus
 
 
+class _LadderRows:
+    """Per-call unclamped ladder rows, plus the state the upgrade loop carries.
+
+    **Lemma.**  Within one :func:`allocate_leftover` call every planning
+    view is frozen, so a job's *unclamped* row for ladder cap ``c`` —
+    ``cumsum(T[S[c]] * weights[1:stop])`` over its usable tail window — is
+    a pure function of ``(job_id, c)``.  Let ``c*`` be the first cap whose
+    unclamped row reaches ``required - EPS``.  If
+    ``m = min(available + own_plan)[1:stop] >= c*``, every row up to ``c*``
+    is unclamped (each slot takes ``min(c, available) == c``), so
+    :func:`progressive_filling` picks ``c*`` and emits the same plan
+    whatever the availability.  A stale unclamped proposal is therefore
+    still exactly what a rebuild would produce while ``m_now >= c*``.
+
+    A job's first lookup builds all of its ladder rows in one 2-D
+    ``cumsum`` — row for row bit-identical to the 1-D cumsums the fill
+    computes (see :mod:`repro.core.batch`).  The row totals are
+    non-decreasing in the cap (``T`` is a running maximum and IEEE
+    multiplication and addition round monotonically), so ``c*`` for any
+    requirement is one bisect over them.  When no unclamped row is
+    feasible, no clamped one is either; that case, an empty window and a
+    clamped window all fall back to :func:`progressive_filling`.
+    """
+
+    def __init__(self, ledger: Ledger) -> None:
+        self._tables: dict[str, tuple[int, list[float], np.ndarray]] = {}
+        #: Unclaimed slot-0 GPUs, decremented by every apply (the only
+        #: ledger mutation while the loop runs).
+        self.avail0 = ledger.available_at(0)
+        #: GPU-time of each job's *current* plan: computed once, then
+        #: replaced by each applied proposal's ``new_cost``.
+        self.costs: dict[str, float] = {}
+        self.clamped_fallbacks = 0
+
+    def still_valid(self, upgrade: Upgrade, info: PlanningJob, ledger: Ledger) -> bool:
+        """Whether a stale-versioned proposal is exactly what a rebuild
+        would produce, checked per form (see :class:`Upgrade`)."""
+        if upgrade.added_gpus > self.avail0:
+            return False
+        if upgrade.cap:
+            stop = self._tables[upgrade.job_id][0]
+            window = ledger.available()[1:stop] + ledger.plan_view(upgrade.job_id)[1:stop]
+            return int(window.min()) >= upgrade.cap
+        return upgrade.available is None or _still_valid(
+            upgrade, info, ledger, slot0_ok=True
+        )
+
+    def current_cost(self, info: PlanningJob, current: np.ndarray) -> float:
+        cost = self.costs.get(info.job_id)
+        if cost is None:
+            cost = self.costs[info.job_id] = info.gpu_seconds_of(current)
+        return cost
+
+    def _table(self, info: PlanningJob) -> tuple[int, list[float], np.ndarray]:
+        """``(stop, row totals, rows)`` of a job; no rows without a window
+        or a ladder, so every requirement then falls back to the fill."""
+        table = self._tables.get(info.job_id)
+        if table is None:
+            stop = 1 + info.window(1)
+            if stop > 1 and info.sizes:
+                thr = info.throughput_table[info.size_table[info.sizes_array()]]
+                rows = np.cumsum(thr[:, None] * info.weights[1:stop], axis=1)
+                table = (stop, rows[:, -1].tolist(), rows)
+            else:
+                table = (stop, [], np.empty((0, 0)))
+            self._tables[info.job_id] = table
+        return table
+
+    def unclamped(
+        self,
+        info: PlanningJob,
+        avail_slots: np.ndarray,
+        current: np.ndarray,
+        head: np.ndarray,
+    ) -> tuple[np.ndarray, int] | None:
+        """The slot-0-only or unclamped plan for ``head``, with its ``c*``.
+
+        Returns ``(head, 0)`` when the head alone finishes the work,
+        ``(plan, c*)`` when the lemma applies, and ``None`` when only the
+        exact fill can answer.
+        """
+        required = info.remaining_iterations - float(
+            info.throughput_table[head[0]]
+        ) * float(info.weights[0])
+        if required <= _EPS:
+            return head, 0
+        stop, totals, rows = self._table(info)
+        threshold = required - _EPS
+        index = bisect_left(totals, threshold)
+        if index == len(totals):
+            return None
+        cap = info.sizes[index]
+        if int((avail_slots[1:stop] + current[1:stop]).min()) < cap:
+            return None
+        plan = _emit_plan(
+            info,
+            head,
+            int(info.size_table[cap]),
+            rows[index],
+            required,
+            threshold,
+            info.weights[1:stop],
+            1,
+        )
+        return plan, cap
+
+
 def _propose(
     info: PlanningJob,
     ledger: Ledger,
     slot_seconds: float,
     old_cost: float | None = None,
     warm_hints: dict[tuple[str, int], int] | None = None,
-    engine: "_UpgradeEngine | None" = None,
+    rows: _LadderRows | None = None,
 ) -> Upgrade | None:
     """Build the next upgrade for one job, or ``None`` if it cannot grow.
 
@@ -209,10 +207,9 @@ def _propose(
     the caller already knows it (the cost of the upgrade it just applied).
     ``warm_hints`` carries the tail refill's previous cap choices into
     :func:`progressive_filling` (verified there; see its docstring).
-    ``engine`` routes the tail refill through the upgrade engine's shared
-    row batch first (bit-identical; see :meth:`_UpgradeEngine.try_warm_plan`),
-    with ``progressive_filling`` as the fallback for anything the batch
-    path cannot serve.
+    ``rows`` (the chain loop's per-call state) serves slot-0-only and
+    unclamped tails from the ladder table, with ``progressive_filling`` as
+    the fallback; without it every tail goes through the fill.
     """
     current = ledger.plan_view(info.job_id)
     current_size = int(current[0])
@@ -225,10 +222,8 @@ def _propose(
     added = next_size - current_size
     # Slot-0 feasibility over the job-inclusive capacity reduces to the
     # ledger's unclaimed slot-0 count (the job's own share cancels), so no
-    # capacity vector is materialised unless the tail fill needs one.  The
-    # engine carries that count incrementally (decremented on every apply,
-    # the only ledger mutation while it runs), sparing the array lookup.
-    if added > (engine.avail0 if engine is not None else ledger.available_at(0)):
+    # capacity vector is materialised unless the tail fill needs one.
+    if added > (rows.avail0 if rows is not None else ledger.available_at(0)):
         return None
 
     if info.best_effort or info.degraded:
@@ -251,48 +246,33 @@ def _propose(
             priority=priority,
             tiebreak=tiebreak,
             ledger_version=ledger.version,
-            available=None,
         )
     avail_slots = ledger.available()
-    if engine is not None:
-        warm = engine.try_warm_plan(info, avail_slots, current, next_size)
-        if warm is not None:
-            new_plan, top_free, new_cost = warm
-            if old_cost is None:
-                old_cost = engine.current_cost(info, current)
-            return Upgrade(
-                job_id=info.job_id,
-                plan=new_plan,
-                added_gpus=added,
-                priority=(old_cost - new_cost) / added,
-                tiebreak=0.0,
-                ledger_version=ledger.version,
-                available=avail_slots,
-                new_cost=new_cost,
-                top_free=top_free,
-            )
-    if engine is not None:
-        # Scratch reuse: the fill reads both arrays synchronously (windowed
-        # copies) and retains neither; slots past 0 of the head stay zero.
-        capacity = np.add(avail_slots, current, out=engine.cap_scratch)
-        head = engine.head_scratch
-    else:
-        capacity = avail_slots + current  # capacity if this job replans
-        head = np.zeros(ledger.horizon, dtype=np.int64)
+    head = np.zeros(ledger.horizon, dtype=np.int64)
     head[0] = next_size
-    new_plan = progressive_filling(
-        info,
-        capacity,
-        start_slot=1,
-        head=head,
-        warm_hints=warm_hints,
-    )
-    if new_plan is None:
-        return None
+    fit = None if rows is None else rows.unclamped(info, avail_slots, current, head)
+    if fit is not None:
+        new_plan, cap = fit
+        snapshot = None
+    else:
+        if rows is not None:
+            rows.clamped_fallbacks += 1
+        cap = 0
+        snapshot = avail_slots
+        filled = progressive_filling(
+            info,
+            avail_slots + current,  # capacity if this job replans
+            start_slot=1,
+            head=head,
+            warm_hints=warm_hints,
+        )
+        if filled is None:
+            return None
+        new_plan = filled
     if old_cost is None:
         old_cost = (
-            engine.current_cost(info, current)
-            if engine is not None
+            rows.current_cost(info, current)
+            if rows is not None
             else info.gpu_seconds_of(current)
         )
     new_cost = info.gpu_seconds_of(new_plan)
@@ -303,13 +283,9 @@ def _propose(
         priority=(old_cost - new_cost) / added,
         tiebreak=0.0,
         ledger_version=ledger.version,
-        available=avail_slots,
+        available=snapshot,
         new_cost=new_cost,
-        # ``top_free`` stays False on this path: deciding it costs an
-        # extra O(window) min per proposal, which only pays off where
-        # the min is already in hand (the engine/batched paths).  False
-        # merely routes revalidation through the exact comparison.
-        top_free=False,
+        cap=cap,
     )
 
 
@@ -317,20 +293,17 @@ def _still_valid(
     upgrade: Upgrade,
     info: PlanningJob,
     ledger: Ledger,
-    stop: int | None = None,
     slot0_ok: bool = False,
 ) -> bool:
     """Whether a stale-versioned proposal is still exactly what a rebuild
-    would produce.  ``stop`` optionally carries the caller's memo of
-    ``1 + info.window(1)`` (the engine keeps one per job); ``slot0_ok``
-    says the caller already verified ``added <= available[0]`` (the engine
-    loop gates every pop on its carried count before revalidating).
+    would produce.  ``slot0_ok`` says the caller already verified
+    ``added <= available[0]``.
 
     A proposal depends only on the proposing job's own registered plan
     (unchanged — each job has at most one proposal in flight, so its plan
     can only have moved by applying *this* proposal) and on the capacity
     left for it.  Slot-0 feasibility reduces to ``added <= available[0]``;
-    an SLO proposal's tail refill additionally depends on the leftover
+    a clamped proposal's tail refill additionally depends on the leftover
     capacity per slot, but only *within the job's usable window* (slots
     with nonzero weight — progress and the written plan never reach past
     it) and only *clamped at the job's largest runnable size* (the fill
@@ -345,21 +318,11 @@ def _still_valid(
         return False
     if upgrade.available is None:
         return True
-    if stop is None:
-        stop = 1 + info.window(1)
+    stop = 1 + info.window(1)
     if stop == 1:
         return True
     top = info.sizes[-1] if info.sizes else 0
-    current = ledger.plan_view(upgrade.job_id)
-    cur_win = current[1:stop]
-    if upgrade.top_free:
-        # The snapshot's clamped window is the constant ``top`` row, so the
-        # rebuilt vector equals it exactly when the current window also
-        # clears ``top`` everywhere — one add and one min instead of two
-        # clamps and a comparison (exact in both directions: a clamped
-        # vector is all-``top`` iff its unclamped min is >= ``top``).
-        now_min = int((ledger.available()[1:stop] + cur_win).min())
-        return now_min >= top
+    cur_win = ledger.plan_view(upgrade.job_id)[1:stop]
     # The snapshot holds the ledger's availability by reference; the
     # capacity the refill saw is snapshot + the job's own plan, which is
     # unchanged while its proposal is in flight (Upgrade docstring).
@@ -370,440 +333,6 @@ def _still_valid(
     return bool(np.array_equal(then, now))
 
 
-@coherent(
-    _handles="verified:try_warm_plan",
-    _perturb_versions="verified:window_undisturbed",
-    _plan_cache="verified:try_warm_plan",
-)
-class _UpgradeEngine:
-    """Per-call vectorized state for Algorithm 2's upgrade loop.
-
-    One engine lives for the duration of a single :func:`allocate_leftover`
-    call and carries three pieces of state across heap pops:
-
-    - **A shared row batch with a handle cache.**  Within one call every
-      job's planning view is frozen, so the warm tail row for a hinted cap
-      — ``cumsum(T[S[cap]] * weights[1:1+usable])`` — is a pure function of
-      ``(job_id, cap)``.  The seed proposals register their rows here
-      (:func:`_initial_upgrades` solves them in one padded bucketed pass),
-      and every *follow-up* or *rebuilt* proposal re-proposed after an
-      apply first asks :meth:`try_warm_plan`: a cache hit skips the row
-      cumsum entirely (a job that keeps its tail cap across consecutive
-      upgrades — the overwhelmingly common case — re-verifies against the
-      already-solved row, because the row depends on the cap, not on the
-      growing head size); a miss appends to the same batch and solves just
-      the pending tail (bit-identical to a fresh solve — see
-      :meth:`repro.core.batch.WarmRowBatch.solve_pending`).  On top of the
-      rows, whole *emitted plans* (and their GPU-time) are memoized per
-      ``(job_id, cap, next_size)`` — pure per key once the unclamped gate
-      holds, see :meth:`adopt_plan` — as are verification failures, and
-      each job's current-plan cost is carried across applies
-      (:meth:`current_cost`), so a typical re-proposal does two dict hits
-      and one windowed min.
-    - **A perturbation watermark.**  Every applied upgrade records the
-      first tail slot its plan changed (``tail_lo``) against the ledger
-      version after the apply, in a monotone stack (versions ascending,
-      watermarks strictly ascending; pushing pops dominated entries).  A
-      stale-versioned pop then answers "is my snapshot window undisturbed?"
-      with one bisect: if every apply since the proposal's version only
-      touched slots at or past the window's end, the availability the
-      proposal saw is *exactly* unchanged and the O(window) vector compare
-      of :func:`_still_valid` is skipped.  Inconclusive answers fall back
-      to the exact check, so the watermark can only save time, never flip
-      a decision (the ``verified`` coherence class).
-    - **Slot-0 availability, carried incrementally.**  The loop condition
-      and the slot-0 feasibility gate read a running counter decremented
-      by each apply's ``added_gpus`` instead of re-deriving
-      ``ledger.available_at(0)`` per pop.
-
-    The engine never mutates the ledger; applies stay in
-    :func:`allocate_leftover` (the declared ``Ledger`` mutator), which
-    notifies :meth:`note_apply` afterwards.  Operation counts accumulate
-    locally and flush to :mod:`repro.perf.probe` in one call.
-    """
-
-    def __init__(
-        self,
-        ledger: Ledger,
-        warm_hints: dict[tuple[str, int], int] | None,
-    ) -> None:
-        self._ledger = ledger
-        self._warm_hints = warm_hints
-        self.batch = WarmRowBatch()
-        self._handles: dict[tuple[str, int], int] = {}
-        self._perturb_versions: list[int] = []
-        self._perturb_watermarks: list[int] = []
-        self._plan_cache: dict[tuple[str, int, int], tuple[np.ndarray, float] | None] = {}
-        #: Memo of ``1 + info.window(1)`` per job — the window itself is
-        #: memoized on the view, but the hot loops pay the method-call and
-        #: double-dict-lookup toll millions of times per run.
-        self._stops: dict[str, int] = {}
-        #: Reusable buffers for the ``progressive_filling`` fallback, which
-        #: reads its capacity vector and head synchronously and keeps no
-        #: reference to either — one allocation per engine instead of two
-        #: per fallback proposal.
-        self.cap_scratch = np.empty(ledger.horizon, dtype=np.int64)
-        self.head_scratch = np.zeros(ledger.horizon, dtype=np.int64)
-        self.avail0 = ledger.available_at(0)
-        #: GPU-time of each job's *current* plan, updated to the applied
-        #: proposal's ``new_cost`` on every apply (same float the fresh
-        #: product would yield) — carried like ``avail0``, so stale
-        #: reproposals skip the windowed product-sum.
-        self.job_cost: dict[str, float] = {}
-        self.counters = {
-            "alg2_heap_pushes": 0,
-            "alg2_heap_pops": 0,
-            "alg2_gen_skips": 0,
-            "alg2_watermark_hits": 0,
-            "alg2_stale_revalidations": 0,
-            "alg2_batched_reproposals": 0,
-            "alg2_row_cache_hits": 0,
-            "alg2_plan_cache_hits": 0,
-        }
-
-    @mutates("_handles")
-    def register(self, job_id: str, cap: int, handle: int) -> None:
-        """Adopt a seed proposal's solved row into the handle cache."""
-        self._handles[(job_id, cap)] = handle
-
-    @mutates("_plan_cache")
-    def adopt_plan(
-        self,
-        job_id: str,
-        cap: int,
-        next_size: int,
-        plan: np.ndarray,
-        new_cost: float,
-    ) -> None:
-        """Memoize a verified warm plan for its ``(job_id, cap, next_size)``.
-
-        Given the unclamped-window gate (``m >= cap``), the emitted plan and
-        its GPU-time are pure functions of the key — every planning view is
-        frozen for the call, the solved row depends on the cap alone, and
-        the key is applied at most once (an apply strictly grows the job's
-        size, changing ``next_size``) — so re-proposals after the gate can
-        return the memo verbatim.  Adopted arrays are never written again
-        (``set_plan(trusted=True)`` freezes them in place on apply).
-        """
-        self._plan_cache[(job_id, cap, next_size)] = (plan, new_cost)
-
-    @mutates("_plan_cache")
-    def reject_plan(self, job_id: str, cap: int, next_size: int) -> None:
-        """Memoize a row-verification failure (pure per key, like adoption)."""
-        self._plan_cache[(job_id, cap, next_size)] = None
-
-    def current_cost(self, info: PlanningJob, current: np.ndarray) -> float:
-        """GPU-time of the job's registered plan, memoized until its next apply."""
-        cost = self.job_cost.get(info.job_id)
-        if cost is None:
-            cost = info.gpu_seconds_of(current)
-            self.job_cost[info.job_id] = cost
-        return cost
-
-    @mutates("_handles", "_plan_cache")
-    def try_warm_plan(
-        self,
-        info: PlanningJob,
-        avail_slots: np.ndarray,
-        current: np.ndarray,
-        next_size: int,
-    ) -> tuple[np.ndarray, bool, float] | None:
-        """Build a follow-up tail refill from cached/batched rows.
-
-        ``avail_slots`` is the ledger's availability vector and ``current``
-        the job's own registered plan — the refill's capacity is their sum,
-        only ever materialised over the usable window.  Applies the
-        identical gates and verification as the unclamped warm path of
-        :func:`repro.core.admission.progressive_filling` (via the same
-        precomputed ladder constants), returning ``(plan, top_free,
-        new_cost)`` on success and ``None`` for any gate or verification
-        failure — the caller then falls back to ``progressive_filling``,
-        which handles clamped windows, hint updates, and the full 2-D scan.
-        The ``m >= cap`` gate makes the ``np.maximum(available, 0)`` clamp
-        of the fallback path a no-op, so the batch row verifies exactly
-        what the sequential row would.
-
-        Results are memoized per ``(job_id, cap, next_size)`` — both
-        verified plans and verification failures, which are equally pure
-        per key (see :meth:`adopt_plan`) — so a re-proposal only re-checks
-        the state-dependent gates (the hinted cap and the windowed ``m``).
-        """
-        warm_hints = self._warm_hints
-        if warm_hints is None or not info.sizes:
-            return None
-        cap = warm_hints.get((info.job_id, 1))
-        if cap is None:
-            return None
-        job_id = info.job_id
-        key = (job_id, cap, next_size)
-        cached = self._plan_cache.get(key, _UNCACHED)
-        if cached is None:
-            return None  # memoized verification failure
-        stop = self._stops.get(job_id)
-        if stop is None:
-            stop = 1 + info.window(1)
-            self._stops[job_id] = stop
-        if stop == 1:
-            return None  # empty usable window
-        if cached is not _UNCACHED:
-            m = int((avail_slots[1:stop] + current[1:stop]).min())
-            if m < cap:
-                return None  # clamped window: per-slot takes differ
-            # Warm/batch fill stats for memo hits flush in bulk at the end
-            # of the call (flush_counters) instead of two calls per hit.
-            self.counters["alg2_plan_cache_hits"] += 1
-            plan, new_cost = cached
-            return plan, m >= info.sizes[-1], new_cost
-        base = float(info.throughput_table[next_size]) * float(info.weights[0])
-        required = info.remaining_iterations - base
-        if required <= _EPS:
-            return None
-        consts = ladder_consts(
-            info.tables_token,
-            cap,
-            info.sizes,
-            info.sizes_array(),
-            info.size_table,
-            info.throughput_table,
-        )
-        if consts is None:
-            return None  # stale hint from a different table build
-        m = int((avail_slots[1:stop] + current[1:stop]).min())
-        if m < cap:
-            return None  # clamped window: per-slot takes differ
-        s_cap, thr_hint, _below, thr_below = consts
-        row_key = (job_id, cap)
-        handle = self._handles.get(row_key)
-        if handle is None:
-            handle = self.batch.add(
-                info.weights[1:stop], thr_hint, thr_below
-            )
-            self.batch.solve_pending()
-            self._handles[row_key] = handle
-            self.counters["alg2_batched_reproposals"] += 1
-        else:
-            self.counters["alg2_row_cache_hits"] += 1
-        threshold = required - _EPS
-        row = self.batch.hint_row(handle)
-        if not (row[-1] >= threshold and self.batch.below_total(handle) < threshold):
-            note_batch_fill(False)
-            self._plan_cache[key] = None
-            return None
-        note_warm_fill(True)
-        note_batch_fill(True)
-        plan = np.zeros(self._ledger.horizon, dtype=np.int64)
-        plan[0] = next_size
-        plan = _emit_plan(
-            info,
-            plan,
-            s_cap,
-            row,
-            required,
-            threshold,
-            info.weights[1 : 1 + len(row)],
-            1,
-        )
-        new_cost = info.gpu_seconds_of(plan)
-        self._plan_cache[key] = (plan, new_cost)
-        return plan, m >= info.sizes[-1], new_cost
-
-    @mutates("_perturb_versions")
-    def note_apply(
-        self,
-        old_plan: np.ndarray,
-        new_plan: np.ndarray,
-        version_after: int,
-    ) -> None:
-        """Record an applied upgrade's tail perturbation watermark."""
-        changed = new_plan[1:] != old_plan[1:]
-        # argmax finds the first True in one pass (no index-array build);
-        # an all-False row (or an empty one at horizon 1) means only slot 0
-        # moved.
-        if changed.size and changed[(first := int(changed.argmax()))]:
-            tail_lo = 1 + first
-        else:
-            tail_lo = self._ledger.horizon + 1  # only slot 0 moved
-        versions = self._perturb_versions
-        watermarks = self._perturb_watermarks
-        while watermarks and watermarks[-1] >= tail_lo:
-            watermarks.pop()
-            versions.pop()
-        versions.append(version_after)
-        watermarks.append(tail_lo)
-
-    def window_undisturbed(self, upgrade: Upgrade, info: PlanningJob) -> bool:
-        """Whether no apply since the proposal touched its snapshot window.
-
-        ``True`` implies the availability vector over ``[1, 1+usable)`` is
-        bit-identical to the proposal's snapshot *and* the proposing job's
-        own plan is unchanged (the generation counter guarantees the popped
-        entry is the job's only live proposal), so the exact
-        :func:`_still_valid` comparison would pass; the slot-0 feasibility
-        gate is the caller's.  ``False`` means "inconclusive", not
-        "invalid".
-        """
-        if upgrade.available is None:
-            return True  # best-effort: depends on slot 0 only
-        stop = self._stops.get(info.job_id)
-        if stop is None:
-            stop = 1 + info.window(1)
-            self._stops[info.job_id] = stop
-        if stop == 1:
-            return True
-        index = bisect_right(self._perturb_versions, upgrade.ledger_version)
-        if index == len(self._perturb_versions):
-            return True
-        # Watermarks are strictly increasing, so the first entry newer than
-        # the proposal carries the minimum watermark among all of them
-        # (popped entries were dominated by a newer, lower watermark).
-        return self._perturb_watermarks[index] >= stop
-
-    def flush_counters(self) -> None:
-        note_plan_memo_fills(self.counters["alg2_plan_cache_hits"])
-        probe.add_counters(self.counters)
-
-
-def _initial_upgrades(
-    infos: list[PlanningJob],
-    ledger: Ledger,
-    slot_seconds: float,
-    warm_hints: dict[tuple[str, int], int] | None,
-    engine: _UpgradeEngine | None = None,
-    seed_index: UpgradeSeedIndex | None = None,
-) -> list[Upgrade]:
-    """Every job's first Algorithm 2 proposal, warm tail refills batched.
-
-    Pass 1 applies the exact scalar gates of :func:`_propose` and queues
-    every SLO job whose hinted tail cap is runnable and whose usable window
-    is unclamped (min leftover capacity >= cap) into one
-    :class:`WarmRowBatch`; pass 2 solves the batch; pass 3 verifies each
-    row exactly as the warm path of :func:`progressive_filling` does and
-    emits the proposal, falling back to :func:`_propose` for everything
-    else (best-effort, unhinted, clamped, trivially-satisfied, or failed
-    verification).  Proposals are bit-identical either way — see the batch
-    module's contract — and the resulting heap order is too, because it is
-    a total order over ``(priority, tiebreak, job_id)`` and never depends
-    on push order.
-
-    With an ``engine``, rows are queued into *its* shared batch and their
-    handles registered in its ``(job_id, cap)`` cache, so the follow-up
-    proposals the upgrade loop builds later reuse the seed rows in place.
-    With a ``seed_index``, the ladder/throughput gates are answered from
-    its persistent per-job verdicts (self-validated against the current
-    size and tables token — exact, see :class:`UpgradeSeedIndex`) instead
-    of re-running the bisect per job per event.
-    """
-    batch = engine.batch if engine is not None else WarmRowBatch()
-    prepared: list[tuple] = []
-    upgrades: list[Upgrade] = []
-    fallbacks: list[PlanningJob] = []
-    # One frozen snapshot serves every job: the ledger version cannot move
-    # inside this read-only pass, and the slot-0 gate is job-independent
-    # because a job's own share cancels (available[0] - current_size ==
-    # unclaimed capacity for every job).
-    avail_slots = ledger.available()
-    avail0 = int(avail_slots[0])
-    for info in infos:
-        current = ledger.plan_view(info.job_id)
-        current_size = int(current[0])
-        if seed_index is not None:
-            next_size = seed_index.lookup(info, current_size)
-            if next_size is None:
-                continue
-        else:
-            next_size = info.next_size_after(current_size)
-            if next_size is None:
-                continue
-            if info.throughput_table[next_size] <= info.throughput_table[current_size]:
-                continue
-        added = next_size - current_size
-        if added > avail0:
-            continue
-        if info.best_effort or info.degraded:
-            fallbacks.append(info)  # scalar-only proposal: nothing to batch
-            continue
-        cap = None if warm_hints is None else warm_hints.get((info.job_id, 1))
-        usable = info.window(1)
-        # Same single-product head shortcut as the start_slot=1 fill.
-        base = float(info.throughput_table[next_size]) * float(info.weights[0])
-        required = info.remaining_iterations - base
-        if cap is None or not usable or required <= _EPS or not info.sizes:
-            fallbacks.append(info)
-            continue
-        consts = ladder_consts(
-            info.tables_token,
-            cap,
-            info.sizes,
-            info.sizes_array(),
-            info.size_table,
-            info.throughput_table,
-        )
-        if consts is None:
-            fallbacks.append(info)  # stale hint from a different table build
-            continue
-        stop = 1 + usable
-        m = int((avail_slots[1:stop] + current[1:stop]).min())
-        if m < cap:
-            fallbacks.append(info)  # clamped window: per-slot takes differ
-            continue
-        s_cap, thr_hint, _below, thr_below = consts
-        handle = batch.add(info.weights[1:stop], thr_hint, thr_below)
-        if engine is not None:
-            engine.register(info.job_id, cap, handle)
-        prepared.append(
-            (info, current, cap, next_size, added, required, s_cap, handle, m)
-        )
-    batch.solve()
-    for info, current, cap, next_size, added, required, s_cap, handle, m in prepared:
-        threshold = required - _EPS
-        row = batch.hint_row(handle)
-        if row[-1] >= threshold and batch.below_total(handle) < threshold:
-            note_warm_fill(True)
-            note_batch_fill(True)
-            plan = np.zeros(ledger.horizon, dtype=np.int64)
-            plan[0] = next_size
-            plan = _emit_plan(
-                info,
-                plan,
-                s_cap,
-                row,
-                required,
-                threshold,
-                info.weights[1 : 1 + len(row)],
-                1,
-            )
-            old_cost = info.gpu_seconds_of(current)
-            new_cost = info.gpu_seconds_of(plan)
-            if engine is not None:
-                # Seed the engine's memos: the emitted plan for this key
-                # and the job's current cost (exact floats either way).
-                engine.adopt_plan(info.job_id, cap, next_size, plan, new_cost)
-                engine.job_cost[info.job_id] = old_cost
-            upgrades.append(
-                Upgrade(
-                    job_id=info.job_id,
-                    plan=plan,
-                    added_gpus=added,
-                    priority=(old_cost - new_cost) / added,
-                    tiebreak=0.0,
-                    ledger_version=ledger.version,
-                    available=avail_slots,
-                    new_cost=new_cost,
-                    top_free=m >= info.sizes[-1],
-                )
-            )
-        else:
-            note_batch_fill(False)
-            if engine is not None:
-                engine.reject_plan(info.job_id, cap, next_size)
-            fallbacks.append(info)
-    for info in fallbacks:
-        upgrade = _propose(info, ledger, slot_seconds, None, warm_hints, engine)
-        if upgrade is not None:
-            upgrades.append(upgrade)
-    return upgrades
-
-
 @mutates("Ledger._plans", "Ledger._used")
 def allocate_leftover(
     infos: list[PlanningJob],
@@ -811,7 +340,6 @@ def allocate_leftover(
     slot_seconds: float,
     *,
     warm_hints: dict[tuple[str, int], int] | None = None,
-    seed_index: UpgradeSeedIndex | None = None,
 ) -> dict[str, int]:
     """Run Algorithm 2: distribute leftover slot-0 GPUs by marginal return.
 
@@ -822,14 +350,10 @@ def allocate_leftover(
         ledger: Occupancy ledger pre-loaded with minimum shares.  Mutated in
             place; on return it holds the final plans.
         slot_seconds: Width of one planning slot.
-        warm_hints: Optional cap-hint store threaded into every tail refill
-            (see :func:`repro.core.admission.progressive_filling`); the
-            policy passes its controller's hint dict so cap choices carry
-            across events.
-        seed_index: Optional persistent first-proposal verdict cache for
-            the seed pass (see :class:`UpgradeSeedIndex`); only consulted
-            on the engine path, and only while the policy keeps it
-            enabled.
+        warm_hints: Optional cap-hint store threaded into every exact tail
+            refill (see :func:`repro.core.admission.progressive_filling`);
+            the policy passes its controller's hint dict so cap choices
+            carry across events.
 
     Returns:
         Mapping of job id to its slot-0 GPU allocation (the decision that is
@@ -838,9 +362,7 @@ def allocate_leftover(
     by_id = {info.job_id: info for info in infos}
     revalidate = cache_enabled()
     if revalidate and batching_enabled():
-        return _allocate_with_engine(
-            infos, by_id, ledger, slot_seconds, warm_hints, seed_index
-        )
+        return _allocate_chained(infos, by_id, ledger, slot_seconds, warm_hints)
 
     # Ties on (priority, tiebreak) are broken by job id, NOT insertion
     # order: the order must be a property of the proposals themselves so
@@ -872,112 +394,66 @@ def allocate_leftover(
         # recompute the identical product; best-effort proposals never
         # read it).  The carry is a memo, so the cache-disabled path
         # recomputes instead.
-        carry = revalidate and upgrade.available is not None
-        push(info, upgrade.new_cost if carry else None)
+        push(info, upgrade.new_cost if revalidate else None)
 
     return {info.job_id: int(ledger.plan_view(info.job_id)[0]) for info in infos}
 
 
 @mutates("Ledger._plans", "Ledger._used")
-def _allocate_with_engine(
+def _allocate_chained(
     infos: list[PlanningJob],
     by_id: dict[str, PlanningJob],
     ledger: Ledger,
     slot_seconds: float,
     warm_hints: dict[tuple[str, int], int] | None,
-    seed_index: UpgradeSeedIndex | None = None,
 ) -> dict[str, int]:
-    """The vectorized upgrade loop (caches + batching on).
+    """The chain-native upgrade loop (caches + batching on).
 
-    Decision-equivalent to the sequential loop above, pop for pop:
-
-    - Heap entries are ``(-priority, tiebreak, job_id, generation,
-      upgrade)``.  The order over live entries is the identical total
-      order — generation only disambiguates multiple entries of one job,
-      which the strict per-job proposal discipline makes superseded
-      duplicates; popping one is a skip, never an apply, so lazy deletion
-      cannot reorder applies.
-    - Stale-versioned pops try the engine's perturbation watermark first
-      and fall back to the exact :func:`_still_valid` comparison; both are
-      exact, so the valid/stale verdict is unchanged.
-    - Rebuilds and follow-ups route through the engine's shared row batch
-      (:meth:`_UpgradeEngine.try_warm_plan`, bit-identical) with
-      ``progressive_filling`` as the fallback.
+    Decision-equivalent to the sequential loop above, pop for pop: the
+    heap holds the identical ``(-priority, tiebreak, job_id)`` total order
+    (one live proposal per job), and a stale pop is applied only when a
+    rebuild would reproduce it bit for bit — checked per proposal form
+    (see :class:`Upgrade`) — and reproposed otherwise.
     """
-    engine = _UpgradeEngine(ledger, warm_hints)
-    heap: list[tuple[float, float, str, int, Upgrade]] = []
-    generation: dict[str, int] = {}
-    # Loop-frequency counters live in locals and merge into the engine's
-    # dict once, after the loop — a dict lookup per pop is measurable here.
-    # Push and repropose are likewise inlined: a closure call per heap entry
-    # (~2M per full-scale event stream) shows up in the profile.
-    pushes = pops = gen_skips = watermark_hits = stale_revals = 0
+    rows = _LadderRows(ledger)
+    heap: list[tuple[float, float, str, Upgrade]] = []
     heappush, heappop = heapq.heappush, heapq.heappop
+    for info in infos:
+        upgrade = _propose(info, ledger, slot_seconds, None, warm_hints, rows)
+        if upgrade is not None:
+            heappush(heap, (-upgrade.priority, upgrade.tiebreak, info.job_id, upgrade))
 
-    for upgrade in _initial_upgrades(
-        infos, ledger, slot_seconds, warm_hints, engine, seed_index
-    ):
-        job_id = upgrade.job_id
-        gen = generation.get(job_id, 0) + 1
-        generation[job_id] = gen
-        heappush(heap, (-upgrade.priority, upgrade.tiebreak, job_id, gen, upgrade))
-        pushes += 1
-
-    while heap and engine.avail0 > 0:
-        _, _, job_id, gen, upgrade = heappop(heap)
+    # Loop-frequency counters live in locals and flush once per call.
+    pops = applies = stale_valid = 0
+    while heap and rows.avail0 > 0:
+        _, _, job_id, upgrade = heappop(heap)
         pops += 1
-        if gen != generation[job_id]:
-            gen_skips += 1
-            continue  # superseded by a newer proposal for the same job
         info = by_id[job_id]
         if upgrade.ledger_version != ledger.version:
-            if upgrade.added_gpus > engine.avail0:
-                valid = False
-            elif engine.window_undisturbed(upgrade, info):
-                watermark_hits += 1
-                valid = True
-            else:
-                stale_revals += 1
-                valid = _still_valid(
-                    upgrade, info, ledger, engine._stops.get(job_id), slot0_ok=True
-                )
-            if not valid:
-                # Genuinely stale: its capacity is gone — repropose.
-                nxt = _propose(info, ledger, slot_seconds, None, warm_hints, engine)
+            if not rows.still_valid(upgrade, info, ledger):
+                # Genuinely stale: the capacity it relied on is gone.
+                nxt = _propose(info, ledger, slot_seconds, None, warm_hints, rows)
                 if nxt is not None:
-                    gen += 1
-                    generation[job_id] = gen
-                    heappush(heap, (-nxt.priority, nxt.tiebreak, job_id, gen, nxt))
-                    pushes += 1
+                    heappush(heap, (-nxt.priority, nxt.tiebreak, job_id, nxt))
                 continue
-        old_plan = ledger.plan_view(job_id)
+            stale_valid += 1
         ledger.set_plan(job_id, upgrade.plan, trusted=True)
-        engine.avail0 -= upgrade.added_gpus
-        engine.note_apply(old_plan, upgrade.plan, ledger.version)
-        # Cost carry as in the sequential loop (always on here: the engine
-        # path implies revalidation is on).  With slot-0 capacity spent,
-        # the follow-up proposal would fail the slot-0 gate before doing
-        # any work (including warm-hint updates), so skip building it.
-        if upgrade.available is not None:
-            engine.job_cost[job_id] = upgrade.new_cost
-            follow_cost = upgrade.new_cost
-        else:
-            follow_cost = None
-        if engine.avail0 > 0:
-            nxt = _propose(info, ledger, slot_seconds, follow_cost, warm_hints, engine)
+        applies += 1
+        rows.avail0 -= upgrade.added_gpus
+        rows.costs[job_id] = upgrade.new_cost
+        # With slot-0 capacity spent the follow-up would fail its slot-0
+        # gate before doing any work, so skip building it.
+        if rows.avail0 > 0:
+            nxt = _propose(info, ledger, slot_seconds, None, warm_hints, rows)
             if nxt is not None:
-                gen += 1
-                generation[job_id] = gen
-                heappush(heap, (-nxt.priority, nxt.tiebreak, job_id, gen, nxt))
-                pushes += 1
+                heappush(heap, (-nxt.priority, nxt.tiebreak, job_id, nxt))
 
-    counters = engine.counters
-    counters["alg2_heap_pushes"] += pushes
-    counters["alg2_heap_pops"] += pops
-    counters["alg2_gen_skips"] += gen_skips
-    counters["alg2_watermark_hits"] += watermark_hits
-    counters["alg2_stale_revalidations"] += stale_revals
-    engine.flush_counters()
-    if seed_index is not None:
-        seed_index.flush_counters()
+    probe.add_counters(
+        {
+            "alg2_heap_pops": pops,
+            "alg2_applies": applies,
+            "alg2_stale_valid": stale_valid,
+            "alg2_clamped_fallbacks": rows.clamped_fallbacks,
+        }
+    )
     return {info.job_id: int(ledger.plan_view(info.job_id)[0]) for info in infos}

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.kernels import kernels_enabled, ladder_rows
 from repro.numeric import next_power_of_two
 
 __all__ = ["WarmRowBatch", "bucket_width"]
@@ -106,9 +105,7 @@ class WarmRowBatch:
         and each call buckets just the pending tail.  Because the direct
         and bucketed paths are bit-identical (module docstring), splitting
         the same candidates across several solves yields exactly the rows
-        a single all-at-once :meth:`solve` would have — which is what lets
-        Algorithm 2's upgrade engine re-propose follow-up rows through the
-        same batch that solved the seed proposals.
+        a single all-at-once :meth:`solve` would have.
         """
         n = len(self._weights)
         solved = len(self._rows)
@@ -141,14 +138,9 @@ class WarmRowBatch:
             thr_below = np.array(
                 [self._thr_below[i] for i in members], dtype=np.float64
             )
-            if kernels_enabled():
-                # Compiled fused row loop: same IEEE ops, same order (see
-                # repro.core.kernels for the bit-identity argument).
-                hint_rows, ends = ladder_rows(padded, thr_hint, thr_below, lengths)
-            else:
-                hint_rows = np.cumsum(thr_hint[:, None] * padded, axis=1)
-                below_rows = np.cumsum(thr_below[:, None] * padded, axis=1)
-                ends = below_rows[np.arange(len(members)), lengths - 1]
+            hint_rows = np.cumsum(thr_hint[:, None] * padded, axis=1)
+            below_rows = np.cumsum(thr_below[:, None] * padded, axis=1)
+            ends = below_rows[np.arange(len(members)), lengths - 1]
             for row, i in enumerate(members):
                 self._rows[i] = hint_rows[row, : lengths[row]]
                 self._below_totals[i] = float(ends[row])

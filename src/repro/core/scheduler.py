@@ -16,7 +16,7 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.core.admission import AdmissionController, PlanningJob, planning_job
-from repro.core.allocation import UpgradeSeedIndex, allocate_leftover
+from repro.core.allocation import allocate_leftover
 from repro.core.job import Job
 from repro.core.operator import OperatorPolicy
 from repro.core.slots import SlotGrid
@@ -28,7 +28,6 @@ from repro.perf.tables import (
     curve_revision,
     frame_enabled,
     planning_tables_for,
-    seed_index_enabled,
     tables_global_revision,
 )
 from repro.sim.interface import SchedulerPolicy
@@ -268,9 +267,6 @@ class ElasticFlowPolicy(SchedulerPolicy):
         # rebuild path of _infos while repro.perf.tables.frame_enabled
         # holds (see _PlanningFrame).
         self._frame = _PlanningFrame(self)
-        # Persistent Algorithm 2 first-proposal verdicts, invalidated by
-        # the delta fill's perturbed set (see UpgradeSeedIndex).
-        self._seed_index = UpgradeSeedIndex()
 
     # ------------------------------------------------------------ interface
     def _planning_capacity(self) -> int:
@@ -339,22 +335,11 @@ class ElasticFlowPolicy(SchedulerPolicy):
         mark = probe.lap("views", mark)
         result = controller.plan_shares(infos, grid, stop_on_failure=False)
         mark = probe.lap("alg1", mark)
-        seed_index = None
-        if cache_enabled() and seed_index_enabled():
-            seed_index = self._seed_index
-            if result.perturbed is not None:
-                # Re-filled jobs may hold a different minimum share now;
-                # unperturbed entries stay and self-validate at lookup.
-                seed_index.invalidate(result.perturbed)
-            seed_index.prune(
-                {job.job_id for job in active}, bound=2 * len(active) + 64
-            )
         decisions = allocate_leftover(
             infos,
             result.ledger,
             grid.slot_seconds,
             warm_hints=controller.warm_hints if cache_enabled() else None,
-            seed_index=seed_index,
         )
         if self.stability_threshold > 0:
             decisions = self._stabilize(

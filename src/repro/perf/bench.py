@@ -51,7 +51,6 @@ from repro.perf.tables import (
     planning_cache_disabled,
     planning_frame_disabled,
     reset_cache,
-    seed_index_disabled,
     sim_vector_disabled,
 )
 from repro.profiles.throughput import ThroughputModel
@@ -496,9 +495,9 @@ def run_benchmarks(
     per-call dispatch, which does not change with cluster size).
     ``profile`` runs the cached end-to-end pass under :mod:`cProfile` and
     exports the hotspots under the report's ``profile`` key.
-    ``disable_new_layers`` engages all four escape hatches of the
-    persistent-state layers (planning frame, vectorized sim advance, seed
-    index, fused commits) for the whole run — the CI parity gate compares
+    ``disable_new_layers`` engages all three escape hatches of the
+    persistent-state layers (planning frame, vectorized sim advance,
+    fused commits) for the whole run — the CI parity gate compares
     its decision digest against the default run's.
     """
     if scale is None:
@@ -516,7 +515,6 @@ def run_benchmarks(
         if disable_new_layers:
             stack.enter_context(planning_frame_disabled())
             stack.enter_context(sim_vector_disabled())
-            stack.enter_context(seed_index_disabled())
             stack.enter_context(fused_commit_disabled())
         if scale in ("quick", "full"):
             report["admission"] = bench_admission(
@@ -575,10 +573,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--disable-new-layers",
         action="store_true",
-        help="engage all four persistent-state escape hatches (planning "
-        "frame, vectorized sim advance, Alg 2 seed index, fused commits) "
-        "— the CI parity gate compares this run's decision digest "
-        "against the default run's",
+        help="engage all three persistent-state escape hatches (planning "
+        "frame, vectorized sim advance, fused commits) — the CI parity "
+        "gate compares this run's decision digest against the default "
+        "run's",
     )
     parser.add_argument(
         "--workers",

@@ -18,7 +18,7 @@ metadata):
   dependencies ``"frozen"`` (never mutated after construction) and
   ``"verified"`` (advisory state re-validated at every use) need no hook.
   A verified field may additionally *name its verifier(s)* —
-  ``"verified:window_undisturbed"`` — promising that every read crossing
+  ``"verified:caps_fresh"`` — promising that every read crossing
   a cache boundary is re-proved by a call to that function (checked
   interprocedurally by rule IP005).
 - :func:`keyed` — class decorator declaring *key-invalidated* memo fields:
@@ -97,7 +97,7 @@ def coherent(**field_hooks: str) -> Callable[[_C], _C]:
             but never correctness, so mutators need no invalidation hook
             (e.g. the admission controller's warm-start cap hints).  A
             verified field may name the method(s) that perform the
-            re-validation — ``"verified:try_warm_plan"`` — which lets
+            re-validation — ``"verified:caps_fresh"`` — which lets
             the analyser prove every boundary-crossing read actually
             reaches a verifier (rule IP005).
     """

@@ -24,8 +24,8 @@ named phase is the residual the harness reports as ``other``.
 Alongside the timing probe this module keeps a flat operation-counter
 registry (:func:`bump` / :func:`counters` / :func:`reset_counters`).
 Unlike the recorder, counters are *always on*: one dict increment per
-counted operation is cheap at the granularity being counted (heap pushes
-and pops in the upgrade engine, buddy allocate/free calls), and an
+counted operation is cheap at the granularity being counted (heap pops
+and applies in Algorithm 2, buddy allocate/free calls), and an
 always-on count means unit tests and the bench harness read the same
 numbers.  Hot inner loops accumulate locally and flush once via
 :func:`add_counters`.

@@ -56,9 +56,6 @@ __all__ = [
     "sim_vector_enabled",
     "set_sim_vector_enabled",
     "sim_vector_disabled",
-    "seed_index_enabled",
-    "set_seed_index_enabled",
-    "seed_index_disabled",
     "fused_commit_enabled",
     "set_fused_commit_enabled",
     "fused_commit_disabled",
@@ -101,7 +98,6 @@ _enabled: bool = True
 _batching: bool = True
 _frame: bool = True
 _sim_vector: bool = True
-_seed_index: bool = True
 _fused_commit: bool = True
 _global_revision: int = 0
 _stats = {
@@ -399,35 +395,6 @@ def sim_vector_disabled():
         set_sim_vector_enabled(previous)
 
 
-def seed_index_enabled() -> bool:
-    """Whether the incremental Algorithm 2 seed index is on.
-
-    The seed index persists each job's first-upgrade candidate across
-    events (see ``repro.core.allocation.UpgradeSeedIndex``); turning it
-    off re-runs the scalar proposal gates for every job on every event.
-    """
-    return _seed_index
-
-
-def set_seed_index_enabled(enabled: bool) -> bool:
-    """Flip the Alg 2 seed-index switch; returns the previous setting."""
-    global _seed_index
-    previous = _seed_index
-    _seed_index = bool(enabled)
-    return previous
-
-
-@contextmanager
-def seed_index_disabled():
-    """Context manager: re-derive every first-upgrade candidate from
-    scratch."""
-    previous = set_seed_index_enabled(False)
-    try:
-        yield
-    finally:
-        set_seed_index_enabled(previous)
-
-
 def fused_commit_enabled() -> bool:
     """Whether ``_fill_batched`` commits fast-accept runs as fused array
     updates.
@@ -494,17 +461,6 @@ def note_batched_walk(accepts: int, fallbacks: int) -> None:
     _stats["warm_hits"] += accepts
     _stats["batch_hits"] += accepts
     _stats["batch_misses"] += fallbacks
-
-
-def note_plan_memo_fills(count: int) -> None:
-    """Bulk-record warm fills served from the upgrade engine's plan memo.
-
-    Each memo hit is both a warm-hint hit and a batch-emitted fill; the
-    engine accumulates them locally and flushes once per Algorithm 2 call
-    instead of paying two counter calls per hit in the hot loop.
-    """
-    _stats["warm_hits"] += count
-    _stats["batch_hits"] += count
 
 
 @invalidates("planning_tables")

@@ -573,6 +573,7 @@ class Simulator:
                 # Failed nodes can fragment the space so badly that even
                 # migration cannot carve the block; the job keeps (or stays
                 # at) its current allocation until the next event.
+                probe.bump("placement_failures")
                 continue
             charge(job, current, target)
             job.n_gpus = target

@@ -19,7 +19,7 @@ from repro.analysis import run_analysis
 from repro.analysis.runner import _dependents_closure
 from repro.core.plan import Ledger
 from repro.errors import AnalysisError
-from repro.perf.coherence import export_contracts, parse_dependency
+from repro.perf.coherence import coherent, export_contracts, parse_dependency
 
 SRC = Path(__file__).parent.parent / "src" / "repro"
 
@@ -188,13 +188,22 @@ def test_parse_dependency_classifies_kinds_and_verifiers() -> None:
 
 
 def test_export_contracts_reports_verifier_declarations() -> None:
-    from repro.core.allocation import _UpgradeEngine
+    from repro.core.admission import AdmissionController
 
-    contracts = export_contracts((Ledger, _UpgradeEngine))
+    @coherent(_caps="verified:caps_fresh")
+    class HintStore:
+        def caps_fresh(self, key: str) -> bool:
+            return True
+
+    contracts = export_contracts((Ledger, AdmissionController, HintStore))
     ledger = contracts["classes"]["Ledger"]
     assert ledger["coherent_fields"]["_plans"]["kind"] == "hook"
-    engine = contracts["classes"]["_UpgradeEngine"]
-    versions = engine["coherent_fields"]["_perturb_versions"]
-    assert versions["kind"] == "verified"
-    assert list(versions["verifiers"]) == ["window_undisturbed"]
+    controller = contracts["classes"]["AdmissionController"]
+    hints = controller["coherent_fields"]["_warm_hints"]
+    assert hints["kind"] == "verified"
+    assert list(hints["verifiers"]) == []
+    store = contracts["classes"][HintStore.__qualname__]
+    caps = store["coherent_fields"]["_caps"]
+    assert caps["kind"] == "verified"
+    assert list(caps["verifiers"]) == ["caps_fresh"]
     assert "ledger_version" in contracts["invalidation_registry"]

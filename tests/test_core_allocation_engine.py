@@ -1,13 +1,18 @@
-"""Tests for the vectorized Algorithm 2 upgrade engine.
+"""Tests for the chain-native Algorithm 2 upgrade loop.
 
-The engine path (``_allocate_with_engine``) must be *decision-equivalent*
-to the sequential revalidating loop and to the cache-disabled reference —
+The default path (``_allocate_chained``) must be *decision-equivalent* to
+the sequential revalidating loop and to the cache-disabled reference —
 same final plans, bit for bit — because the escape hatches exist precisely
 to prove that.  The equivalence classes here run the identical scenario
-under all three configurations and compare the full per-job plans.
+under all three configurations and compare the full per-job plans; the
+differential class does the same over random ladders, throughput tables,
+windows, capacities and registered plans, and checks that the random
+instances really reach every proposal form and every loop behaviour the
+exactness argument has to cover.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,9 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import AdmissionController, Ledger, SlotGrid, allocate_leftover
-from repro.core.allocation import Upgrade, _UpgradeEngine
+from repro.core import allocation
+from repro.core.admission import progressive_filling
+from repro.core.allocation import _LadderRows, _propose
 from repro.perf import probe
-from repro.perf.coherence import coherence_report
 from repro.perf.tables import batched_solver_disabled, planning_cache_disabled
 
 from conftest import synthetic_planning_job
@@ -42,12 +48,12 @@ def run_algorithm2(make_infos, grid, capacity, warm_hints=None):
 
 
 def assert_three_way_equivalence(make_infos, grid, capacity, warm_hints=None):
-    """Engine path == sequential solver == cache-disabled reference."""
+    """Chain loop == sequential solver == cache-disabled reference."""
 
     def hints():
         return None if warm_hints is None else dict(warm_hints)
 
-    engine_decisions, engine_plans = run_algorithm2(
+    chain_decisions, chain_plans = run_algorithm2(
         make_infos, grid, capacity, hints()
     )
     with batched_solver_disabled():
@@ -58,10 +64,10 @@ def assert_three_way_equivalence(make_infos, grid, capacity, warm_hints=None):
         ref_decisions, ref_plans = run_algorithm2(
             make_infos, grid, capacity, hints()
         )
-    assert engine_decisions == seq_decisions == ref_decisions
-    for job_id in engine_plans:
-        assert np.array_equal(engine_plans[job_id], seq_plans[job_id])
-        assert np.array_equal(engine_plans[job_id], ref_plans[job_id])
+    assert chain_decisions == seq_decisions == ref_decisions
+    for job_id in chain_plans:
+        assert np.array_equal(chain_plans[job_id], seq_plans[job_id])
+        assert np.array_equal(chain_plans[job_id], ref_plans[job_id])
 
 
 class TestEngineEquivalence:
@@ -155,153 +161,107 @@ class TestEngineEquivalence:
         assert_three_way_equivalence(make, grid, capacity, warm_hints={})
 
 
+# ------------------------------------------------------------ proposal forms
+def _sequential_proposal(info, ledger):
+    """What the sequential loop would propose (exact fill, no ladder rows)."""
+    return _propose(info, ledger, 1.0)
+
+
 class TestEngineState:
     def ledger(self, capacity=8, horizon=5):
         return Ledger(capacity, horizon)
 
-    def test_note_apply_slot0_only_records_past_horizon(self):
+    def test_unclamped_proposal_matches_progressive_filling(self):
         ledger = self.ledger()
-        engine = _UpgradeEngine(ledger, None)
-        old = np.array([1, 1, 1, 0, 0])
-        new = np.array([2, 1, 1, 0, 0])
-        engine.note_apply(old, new, version_after=7)
-        assert engine._perturb_versions == [7]
-        assert engine._perturb_watermarks == [ledger.horizon + 1]
-
-    def test_note_apply_stack_stays_monotone(self):
-        ledger = self.ledger()
-        engine = _UpgradeEngine(ledger, None)
-        engine.note_apply(
-            np.array([1, 1, 1, 0, 0]), np.array([2, 1, 1, 0, 0]), 3
-        )  # slot 0 only: watermark horizon+1
-        engine.note_apply(
-            np.array([2, 1, 1, 0, 0]), np.array([2, 1, 2, 0, 0]), 4
-        )  # first tail change at slot 2: dominates the earlier entry
-        assert engine._perturb_versions == [4]
-        assert engine._perturb_watermarks == [2]
-        engine.note_apply(
-            np.array([2, 1, 2, 0, 0]), np.array([2, 1, 2, 1, 0]), 5
-        )  # slot 3: strictly above, so both survive
-        assert engine._perturb_versions == [4, 5]
-        assert engine._perturb_watermarks == [2, 3]
-
-    def upgrade(self, version, available):
-        return Upgrade(
-            job_id="a",
-            plan=np.zeros(5, dtype=np.int64),
-            added_gpus=1,
-            priority=0.0,
-            tiebreak=0.0,
-            ledger_version=version,
-            available=available,
-        )
-
-    def test_window_undisturbed_without_snapshot(self):
-        engine = _UpgradeEngine(self.ledger(), None)
-        info = synthetic_planning_job("a", 3.0, 4.0, unit_grid(), 4, FIG_CURVE)
-        engine.note_apply(np.array([1, 1, 0, 0, 0]), np.array([1, 2, 0, 0, 0]), 9)
-        assert engine.window_undisturbed(self.upgrade(1, None), info)
-
-    def test_window_undisturbed_by_version_and_watermark(self):
-        engine = _UpgradeEngine(self.ledger(), None)
-        info = synthetic_planning_job("a", 3.0, 4.0, unit_grid(), 4, FIG_CURVE)
-        usable = info.window(1)
-        assert usable >= 2
-        snapshot = np.full(5, 4, dtype=np.int64)
-        # No applies newer than the proposal: undisturbed.
-        assert engine.window_undisturbed(self.upgrade(10, snapshot), info)
-        # A newer apply whose first tail change is past the window's end.
-        engine._perturb_versions.append(11)
-        engine._perturb_watermarks.append(1 + usable)
-        assert engine.window_undisturbed(self.upgrade(10, snapshot), info)
-        # ... but an apply inside the window is inconclusive.
-        engine._perturb_versions[-1:] = [12]
-        engine._perturb_watermarks[-1:] = [usable]
-        assert not engine.window_undisturbed(self.upgrade(10, snapshot), info)
-        # Entries at or before the proposal's version never disturb it.
-        assert engine.window_undisturbed(self.upgrade(12, snapshot), info)
-
-    def test_try_warm_plan_gates(self):
-        ledger = self.ledger()
-        info = synthetic_planning_job("a", 3.0, 4.0, unit_grid(), 4, FIG_CURVE)
-        avail_slots = np.full(5, 4, dtype=np.int64)
-        current = np.zeros(5, dtype=np.int64)
-        # No hint store at all.
-        assert (
-            _UpgradeEngine(ledger, None).try_warm_plan(info, avail_slots, current, 2)
-            is None
-        )
-        # Hint store without an entry for this job.
-        assert (
-            _UpgradeEngine(ledger, {}).try_warm_plan(info, avail_slots, current, 2)
-            is None
-        )
-        # Clamped window: min availability + own plan below the hinted cap.
-        clamped = np.array([4, 4, 0, 4, 4], dtype=np.int64)
-        engine = _UpgradeEngine(ledger, {("a", 1): 2})
-        assert engine.try_warm_plan(info, clamped, current, 2) is None
-        # A cap outside the job's ladder (stale hint).
-        stale = _UpgradeEngine(ledger, {("a", 1): 3})
-        assert stale.try_warm_plan(info, avail_slots, current, 2) is None
-
-    def test_try_warm_plan_matches_fallback(self):
-        """An accepted warm plan equals what progressive filling emits."""
-        from repro.core.admission import progressive_filling
-
-        ledger = self.ledger()
-        info = synthetic_planning_job("a", 3.0, 4.0, unit_grid(), 4, FIG_CURVE)
+        info = synthetic_planning_job("a", 3.0, 4.0, unit_grid(), 8, FIG_CURVE)
         ledger.set_plan("a", np.array([1, 1, 1, 0, 0], dtype=np.int64))
-        avail_slots = ledger.available()
-        current = ledger.plan_view("a")
-        engine = _UpgradeEngine(ledger, {("a", 1): 1})
-        warm = engine.try_warm_plan(info, avail_slots, current, 2)
-        assert warm is not None
-        plan, top_free, new_cost = warm
+        rows = _LadderRows(ledger)
+        upgrade = _propose(info, ledger, 1.0, rows=rows)
+        assert upgrade is not None
+        assert upgrade.cap > 0 and upgrade.available is None
         head = np.zeros(5, dtype=np.int64)
         head[0] = 2
-        fallback = progressive_filling(
-            info, avail_slots + current, start_slot=1, head=head
+        exact = progressive_filling(
+            info, ledger.available() + ledger.plan_view("a"), start_slot=1, head=head
         )
-        assert np.array_equal(plan, fallback)
-        assert top_free  # the whole window clears the job's top size
-        assert new_cost == info.gpu_seconds_of(plan)
-        # The emitted plan is memoized: a second ask returns it verbatim.
-        before = engine.counters["alg2_plan_cache_hits"]
-        again = engine.try_warm_plan(info, avail_slots, current, 2)
-        assert again is not None and again[0] is plan
-        assert engine.counters["alg2_plan_cache_hits"] == before + 1
+        assert np.array_equal(upgrade.plan, exact)
+        sequential = _sequential_proposal(info, ledger)
+        assert upgrade.priority == sequential.priority
+        assert upgrade.new_cost == info.gpu_seconds_of(exact)
+        assert rows.clamped_fallbacks == 0
 
-    def test_plan_cache_verdicts(self):
-        """Adopted and rejected keys short-circuit without row work."""
+    def test_clamped_window_falls_back_to_exact_fill(self):
+        ledger = self.ledger(capacity=4)
+        info = synthetic_planning_job("a", 5.0, 4.0, unit_grid(), 4, FIG_CURVE)
+        ledger.set_plan("a", np.array([1, 2, 1, 2, 0], dtype=np.int64))
+        # Another job fills slot 2, so a can count only on its own GPU
+        # there: below c* = 2, the window is clamped.
+        ledger.set_plan("x", np.array([0, 0, 3, 0, 0], dtype=np.int64))
+        rows = _LadderRows(ledger)
+        upgrade = _propose(info, ledger, 1.0, rows=rows)
+        assert upgrade is not None
+        assert upgrade.cap == 0 and upgrade.available is not None
+        assert rows.clamped_fallbacks == 1
+        sequential = _sequential_proposal(info, ledger)
+        assert np.array_equal(upgrade.plan, sequential.plan)
+        assert upgrade.priority == sequential.priority
+
+    def test_head_only_and_best_effort_proposals_are_slot0_only(self):
         ledger = self.ledger()
-        info = synthetic_planning_job("a", 3.0, 4.0, unit_grid(), 4, FIG_CURVE)
-        avail_slots = np.full(5, 4, dtype=np.int64)
-        current = np.zeros(5, dtype=np.int64)
-        engine = _UpgradeEngine(ledger, {("a", 1): 1})
-        engine.reject_plan("a", 1, 2)
-        assert engine.try_warm_plan(info, avail_slots, current, 2) is None
-        memo = np.array([2, 1, 1, 1, 0], dtype=np.int64)
-        engine.adopt_plan("a", 1, 2, memo, 7.5)
-        warm = engine.try_warm_plan(info, avail_slots, current, 2)
-        assert warm is not None
-        plan, top_free, new_cost = warm
-        assert plan is memo and new_cost == 7.5
-        # The state-dependent gate still runs on a memo hit.
-        clamped = np.array([4, 0, 4, 4, 4], dtype=np.int64)
-        assert engine.try_warm_plan(info, clamped, current, 2) is None
+        grid = unit_grid()
+        tiny = synthetic_planning_job("tiny", 1.2, 4.0, grid, 8, FIG_CURVE)
+        ledger.set_plan("tiny", np.array([1, 1, 0, 0, 0], dtype=np.int64))
+        be = synthetic_planning_job(
+            "be", 5.0, math.inf, grid, 8, FIG_CURVE, best_effort=True
+        )
+        ledger.set_plan("be", np.zeros(5, dtype=np.int64))
+        rows = _LadderRows(ledger)
+        for info in (tiny, be):
+            upgrade = _propose(info, ledger, 1.0, rows=rows)
+            assert upgrade.cap == 0 and upgrade.available is None
+            assert not upgrade.plan[1:].any()
+            assert np.array_equal(
+                upgrade.plan, _sequential_proposal(info, ledger).plan
+            )
+        assert rows.clamped_fallbacks == 0
+
+    def test_stale_unclamped_valid_iff_window_clears_cap(self):
+        ledger = self.ledger()
+        info = synthetic_planning_job("a", 3.0, 4.0, unit_grid(), 8, FIG_CURVE)
+        ledger.set_plan("a", np.array([1, 1, 1, 0, 0], dtype=np.int64))
+        rows = _LadderRows(ledger)
+        upgrade = _propose(info, ledger, 1.0, rows=rows)
+        assert upgrade.cap > 0
+        # Another job takes capacity in a's window (slot 3, where a holds
+        # nothing) but leaves exactly cap free: still valid, and a rebuild
+        # reproduces the proposal exactly.
+        ledger.set_plan("x", np.array([0, 0, 0, 8 - upgrade.cap, 0], dtype=np.int64))
+        assert upgrade.ledger_version != ledger.version
+        assert rows.still_valid(upgrade, info, ledger)
+        rebuilt = _propose(info, ledger, 1.0, rows=_LadderRows(ledger))
+        assert np.array_equal(rebuilt.plan, upgrade.plan)
+        assert rebuilt.priority == upgrade.priority
+        # One more GPU taken in the window clamps it: no longer valid.
+        ledger.set_plan(
+            "x", np.array([0, 0, 0, 9 - upgrade.cap, 0], dtype=np.int64)
+        )
+        assert not rows.still_valid(upgrade, info, ledger)
+        # Slot 0 exhausted: invalid whatever the window.
+        rows.avail0 = upgrade.added_gpus - 1
+        assert not rows.still_valid(upgrade, info, ledger)
 
     def test_current_cost_memoizes_until_refreshed(self):
         ledger = self.ledger()
         info = synthetic_planning_job("a", 3.0, 4.0, unit_grid(), 4, FIG_CURVE)
-        engine = _UpgradeEngine(ledger, None)
+        rows = _LadderRows(ledger)
         plan = np.array([1, 1, 0, 0, 0], dtype=np.int64)
-        cost = engine.current_cost(info, plan)
+        cost = rows.current_cost(info, plan)
         assert cost == info.gpu_seconds_of(plan)
         # Served from the memo even for a different array (apply updates it).
         other = np.array([4, 4, 4, 4, 4], dtype=np.int64)
-        assert engine.current_cost(info, other) == cost
-        engine.job_cost["a"] = 42.0
-        assert engine.current_cost(info, other) == 42.0
+        assert rows.current_cost(info, other) == cost
+        rows.costs["a"] = 42.0
+        assert rows.current_cost(info, other) == 42.0
 
     def test_counters_flush_to_probe(self):
         grid = unit_grid()
@@ -314,23 +274,259 @@ class TestEngineState:
         probe.reset_counters()
         allocate_leftover(infos, result.ledger, 1.0, warm_hints={})
         counters = probe.counters()
-        assert counters["alg2_heap_pushes"] > 0
-        assert counters["alg2_heap_pops"] > 0
-        assert counters["alg2_heap_pops"] <= counters["alg2_heap_pushes"]
+        assert counters["alg2_applies"] > 0
+        assert counters["alg2_applies"] <= counters["alg2_heap_pops"]
+        # Zero counts are not stored.
+        assert counters.get("alg2_stale_valid", 0) <= counters["alg2_applies"]
         probe.reset_counters()
         assert probe.counters() == {}
 
 
-def test_engine_coherence_declarations():
-    """Satellite: the engine's shared state is under the coherence linter."""
-    report = coherence_report(_UpgradeEngine)
-    assert report["coherent_fields"] == {
-        "_handles": "verified:try_warm_plan",
-        "_perturb_versions": "verified:window_undisturbed",
-        "_plan_cache": "verified:try_warm_plan",
-    }
-    assert report["mutators"]["register"] == ("_handles",)
-    assert report["mutators"]["try_warm_plan"] == ("_handles", "_plan_cache")
-    assert report["mutators"]["adopt_plan"] == ("_plan_cache",)
-    assert report["mutators"]["reject_plan"] == ("_plan_cache",)
-    assert report["mutators"]["note_apply"] == ("_perturb_versions",)
+# ------------------------------------------------------ differential testing
+class _NumpyDraws:
+    """Primitive draws from a seeded numpy generator."""
+
+    def __init__(self, seed: int) -> None:
+        self._rng = np.random.default_rng(seed)
+
+    def int(self, lo: int, hi: int) -> int:
+        return int(self._rng.integers(lo, hi + 1))
+
+    def float(self, lo: float, hi: float) -> float:
+        return float(self._rng.uniform(lo, hi))
+
+
+class _HypothesisDraws:
+    """The same primitive draws through hypothesis (so failures shrink)."""
+
+    def __init__(self, draw) -> None:
+        self._draw = draw
+
+    def int(self, lo: int, hi: int) -> int:
+        return self._draw(st.integers(min_value=lo, max_value=hi))
+
+    def float(self, lo: float, hi: float) -> float:
+        return self._draw(
+            st.floats(min_value=lo, max_value=hi, allow_nan=False)
+        )
+
+
+def build_instance(d):
+    """A random Algorithm 2 input: views, registered plans and hints.
+
+    Ladders are arbitrary subsets of ``1..capacity`` with arbitrary
+    (non-concave) throughputs, so priority chains need not be monotone.
+    Deadlines land inside, at the edge of and past the horizon, and work
+    ranges from "the head alone finishes it" to "infeasible".  Three
+    families share the draws:
+
+    - minimum shares from Algorithm 1;
+    - random registered plans (fragmented capacity, clamped windows,
+      tails no fill can satisfy, degraded and best-effort jobs);
+    - *tight*: a few SLO jobs on a small cluster holding thin plans
+      (0 or 1 GPU per slot).  The first refill reshapes a thin plan and
+      can take more GPUs in a slot than before, which clamps another
+      job's pending unclamped proposal — the case the stale-validity
+      check exists for.
+    """
+    family = d.int(0, 2)
+    tight = family == 2
+    horizon = d.int(3, 8) if tight else d.int(2, 10)
+    capacity = d.int(2, 6) if tight else d.int(1, 16)
+    grid = SlotGrid(origin=0.0, slot_seconds=1.0, horizon=horizon)
+    specs = []
+    for index in range(d.int(2, 4) if tight else d.int(1, 5)):
+        ladder = sorted({1} | {d.int(1, capacity) for _ in range(d.int(1, 4))})
+        curve = {size: d.float(0.1, 4.0) for size in ladder}
+        best_effort = not tight and d.int(0, 5) == 0
+        if best_effort:
+            deadline, work = math.inf, d.float(0.1, 10.0)
+        else:
+            deadline = d.float(1.0 if tight else 0.2, horizon + 1.5)
+            reach = max(curve.values()) * min(deadline, horizon)
+            work = d.float(0.0, 1.1 if d.int(0, 2) == 0 else 0.6) * reach
+        degraded = not best_effort and not tight and d.int(0, 7) == 0
+        specs.append((f"j{index}", work, deadline, curve, best_effort, degraded))
+
+    def make_infos():
+        infos = []
+        for job_id, work, deadline, curve, best_effort, degraded in specs:
+            info = synthetic_planning_job(
+                job_id, work, deadline, grid, capacity, curve,
+                best_effort=best_effort,
+            )
+            info.degraded = degraded
+            infos.append(info)
+        return infos
+
+    plans = None
+    if family:
+        plans = {}
+        free = np.full(horizon, capacity, dtype=np.int64)
+        for job_id, _, _, curve, best_effort, _ in specs:
+            plan = np.zeros(horizon, dtype=np.int64)
+            for slot in range(1 if best_effort else horizon):
+                options = [0] + [s for s in curve if s <= free[slot]]
+                top = len(options) - 1
+                plan[slot] = options[d.int(0, min(top, 1) if tight else top)]
+            free -= plan
+            plans[job_id] = plan
+    hint_mode = d.int(0, 2)
+    hints = None if hint_mode == 0 else {}
+    if hint_mode == 2:
+        for job_id, *_ in specs:
+            hints[(job_id, 1)] = d.int(1, capacity + 1)
+    return make_infos, grid, capacity, plans, hints
+
+
+def _solve(instance):
+    """One Algorithm 2 call on fresh views; returns decisions and plans."""
+    make_infos, grid, capacity, plans, hints = instance
+    infos = make_infos()
+    if plans is None:
+        controller = AdmissionController(capacity)
+        ledger = controller.plan_shares(infos, grid, stop_on_failure=False).ledger
+    else:
+        ledger = Ledger(capacity, grid.horizon)
+        for job_id, plan in plans.items():
+            ledger.set_plan(job_id, plan)
+    decisions = allocate_leftover(
+        infos,
+        ledger,
+        grid.slot_seconds,
+        warm_hints=None if hints is None else dict(hints),
+    )
+    return decisions, {info.job_id: ledger.plan_of(info.job_id) for info in infos}
+
+
+def assert_matches_reference(instance, result=None):
+    """The chain loop's result (solved here unless given) equals both the
+    cache-disabled reference and the sequential loop."""
+    decisions, plans = _solve(instance) if result is None else result
+    with planning_cache_disabled():
+        ref_decisions, ref_plans = _solve(instance)
+    with batched_solver_disabled():
+        seq_decisions, seq_plans = _solve(instance)
+    assert decisions == ref_decisions == seq_decisions
+    for job_id, plan in plans.items():
+        assert np.array_equal(plan, ref_plans[job_id]), job_id
+        assert np.array_equal(plan, seq_plans[job_id]), job_id
+
+
+@st.composite
+def instances(draw):
+    return build_instance(_HypothesisDraws(draw))
+
+
+def _last_busy(plan) -> int:
+    busy = np.flatnonzero(plan[1:])
+    return int(busy[-1]) if busy.size else -1
+
+
+class _Recorder:
+    """Solves instances on the chain loop, recording what each call does."""
+
+    def __init__(self) -> None:
+        self.seen: Counter[str] = Counter()
+
+    def observe(self, instance):
+        proposals: dict[int, allocation.Upgrade] = {}
+        last_priority: dict[str, float] = {}
+        views: dict[str, object] = {}
+        real_propose = allocation._propose
+        real_fill = allocation.progressive_filling
+        real_set_plan = Ledger.set_plan
+        real_still_valid = _LadderRows.still_valid
+
+        def propose(info, ledger, *args, **kwargs):
+            upgrade = real_propose(info, ledger, *args, **kwargs)
+            views[info.job_id] = info
+            if upgrade is not None:
+                proposals[id(upgrade.plan)] = upgrade
+            return upgrade
+
+        def fill(info, available, **kwargs):
+            plan = real_fill(info, available, **kwargs)
+            if plan is None:
+                self.seen["infeasible tail"] += 1
+            return plan
+
+        def set_plan(ledger, job_id, plan, *, trusted=False):
+            upgrade = proposals.get(id(plan))
+            if upgrade is not None:
+                self._applied(upgrade, views[job_id], ledger.plan_view(job_id))
+                previous = last_priority.get(job_id)
+                if previous is not None and upgrade.priority > previous:
+                    self.seen["priority rose"] += 1
+                last_priority[job_id] = upgrade.priority
+            real_set_plan(ledger, job_id, plan, trusted=trusted)
+
+        def still_valid(rows, upgrade, info, ledger):
+            # Every stale proposal judged valid must be exactly what the
+            # sequential loop's from-scratch rebuild would propose.
+            valid = real_still_valid(rows, upgrade, info, ledger)
+            if valid:
+                form = "unclamped" if upgrade.cap else (
+                    "clamped" if upgrade.available is not None else "slot-0-only"
+                )
+                self.seen[f"stale {form} kept"] += 1
+                rebuilt = real_propose(info, ledger, 1.0)
+                assert rebuilt is not None
+                assert np.array_equal(rebuilt.plan, upgrade.plan)
+                assert rebuilt.priority == upgrade.priority
+            return valid
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_LadderRows, "still_valid", still_valid)
+            patch.setattr(allocation, "_propose", propose)
+            patch.setattr(allocation, "progressive_filling", fill)
+            patch.setattr(Ledger, "set_plan", set_plan)
+            return _solve(instance)
+
+    def _applied(self, upgrade, info, old_plan) -> None:
+        if upgrade.cap:
+            self.seen["unclamped"] += 1
+        elif upgrade.available is not None:
+            self.seen["clamped"] += 1
+        elif info.best_effort:
+            self.seen["best-effort"] += 1
+        elif info.degraded:
+            self.seen["degraded"] += 1
+        else:
+            self.seen["head-only"] += 1
+        if _last_busy(upgrade.plan) > _last_busy(old_plan):
+            self.seen["tail lengthened"] += 1
+
+
+class TestChainDifferential:
+    """The chain loop against the cache-disabled reference, on random
+    ladders, throughput tables, windows, capacities and plans."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(instance=instances())
+    def test_random_inputs_match_reference(self, instance):
+        assert_matches_reference(instance)
+
+    def test_random_inputs_reach_every_form(self):
+        """Seeded instances, each checked against the reference, that
+        between them apply every proposal form and hit every loop
+        behaviour the validity argument must cover."""
+        recorder = _Recorder()
+        for seed in range(2000):
+            instance = build_instance(_NumpyDraws(seed))
+            assert_matches_reference(instance, recorder.observe(instance))
+        expected = {
+            "unclamped",
+            "clamped",
+            "best-effort",
+            "degraded",
+            "head-only",
+            "tail lengthened",
+            "priority rose",
+            "infeasible tail",
+            "stale unclamped kept",
+            "stale clamped kept",
+            "stale slot-0-only kept",
+        }
+        missing = expected - set(recorder.seen)
+        assert not missing, f"no instance reached: {sorted(missing)}"

@@ -51,7 +51,7 @@ def test_main_writes_report(tmp_path, tiny_bench, capsys):
     assert buddy["ops_per_sec"] > 0
 
     counters = e2e["cached"]["counters"]
-    assert counters["alg2_heap_pushes"] > 0
+    assert counters["alg2_applies"] > 0
     assert counters["buddy_allocs"] > 0
 
     printed = capsys.readouterr().out

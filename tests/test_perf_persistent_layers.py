@@ -1,14 +1,13 @@
 """Regression coverage for the persistent per-event planning layers.
 
-Four layers replaced the per-event rebuild-everything pattern: the
+Three layers replaced the per-event rebuild-everything pattern: the
 persistent planning frame (``scheduler._PlanningFrame``), the vectorized
-sim advance (``engine._ProgressSoA``), the Algorithm 2 seed index
-(``allocation.UpgradeSeedIndex``), and the fused commit runs in
+sim advance (``engine._ProgressSoA``), and the fused commit runs in
 ``admission._fill_batched``.  Each keeps an escape hatch in
 :mod:`repro.perf.tables`; this module proves, per hatch, that engaging it
 changes no scheduling decision — and pins the supporting invariants (the
 slot-grid batch math the frame relies on, the rate-memo eviction, the
-seed index's self-validation).
+event-scoped row store).
 """
 
 import math
@@ -20,14 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.topology import ClusterSpec
-from repro.core.allocation import UpgradeSeedIndex
+from repro.core.batch import WarmRowBatch
 from repro.core.scheduler import ElasticFlowPolicy
 from repro.core.slots import SlotGrid
 from repro.perf.tables import (
     fused_commit_disabled,
     planning_frame_disabled,
     reset_cache,
-    seed_index_disabled,
     sim_vector_disabled,
 )
 from repro.profiles import ThroughputModel
@@ -142,7 +140,6 @@ def _workload(seed):
 HATCHES = {
     "planning_frame": planning_frame_disabled,
     "sim_vector": sim_vector_disabled,
-    "seed_index": seed_index_disabled,
     "fused_commit": fused_commit_disabled,
 }
 
@@ -150,7 +147,7 @@ HATCHES = {
 class TestEscapeHatchParity:
     """Each persistent layer's escape hatch must be decision-neutral: the
     same seeded trace produces a byte-identical outcome digest with the
-    layer on (default) and off (hatch engaged) — and with all four off."""
+    layer on (default) and off (hatch engaged) — and with all three off."""
 
     @pytest.mark.parametrize("hatch", sorted(HATCHES))
     def test_single_hatch_is_decision_neutral(self, hatch):
@@ -170,7 +167,6 @@ class TestEscapeHatchParity:
         with (
             planning_frame_disabled(),
             sim_vector_disabled(),
-            seed_index_disabled(),
             fused_commit_disabled(),
         ):
             _, hatched = _simulate(specs, cluster, throughput)
@@ -191,52 +187,6 @@ def test_rate_memo_evicted_at_completion():
     assert sim._rate_memo == {}, (
         f"rate memo leaked entries for {sorted(sim._rate_memo)[:5]}..."
     )
-
-
-# ------------------------------------------------------------- seed index
-class TestUpgradeSeedIndex:
-    def _info(self, grid, thr, token):
-        info = synthetic_planning_job("j0", 10.0, 4.0, grid, 8, thr)
-        return replace(info, tables_token=token)
-
-    def test_lookup_matches_inline_gates(self, unit_grid):
-        index = UpgradeSeedIndex()
-        info = self._info(unit_grid, {1: 1.0, 2: 1.5, 4: 1.5}, token=3)
-        # From size 1 the ladder's next size is 2 and it strictly improves.
-        assert index.lookup(info, 1) == 2
-        # From size 2 the next size (4) does not improve: verdict is None.
-        assert index.lookup(info, 2) is None
-        # Top of the ladder: nothing above 4.
-        assert index.lookup(info, 4) is None
-
-    def test_hits_self_validate_on_token_and_size(self, unit_grid):
-        index = UpgradeSeedIndex()
-        info = self._info(unit_grid, {1: 1.0, 2: 1.5}, token=3)
-        assert index.lookup(info, 1) == 2
-        assert index.lookup(info, 1) == 2
-        assert index.hits == 1 and index.misses == 1
-        # A different current size misses (entry overwritten, still exact).
-        assert index.lookup(info, 2) is None
-        assert index.misses == 2
-        # A tables rebuild (new token) invalidates via the token compare.
-        rebuilt = self._info(unit_grid, {1: 1.0, 2: 1.5}, token=4)
-        assert index.lookup(rebuilt, 2) is None
-        assert index.misses == 3
-
-    def test_invalidate_and_prune(self, unit_grid):
-        index = UpgradeSeedIndex()
-        info = self._info(unit_grid, {1: 1.0, 2: 1.5}, token=3)
-        index.lookup(info, 1)
-        index.invalidate(frozenset({"j0", "missing"}))
-        assert index.invalidations == 1
-        # The entry is gone: the same lookup misses again.
-        index.lookup(info, 1)
-        assert index.misses == 2
-        assert index.prune({"someone-else"}) == 1
-        # Under the bound, prune is a no-op even for dead entries.
-        index.lookup(info, 1)
-        assert index.prune({"someone-else"}, bound=8) == 0
-        assert index.prune({"someone-else"}, bound=0) == 1
 
 
 # ------------------------------------------------------ event-scoped rows
@@ -332,3 +282,49 @@ class TestEventRowStore:
         assert trial.admitted == cold.admitted
         assert trial.degraded == cold.degraded
         assert np.array_equal(trial.ledger.used, cold.ledger.used)
+
+
+# ------------------------------------------------------ append-only batch
+class TestSolvePending:
+    """The event-scoped row store appends to one ``WarmRowBatch`` and
+    solves it again after each append; a split solve must reproduce the
+    all-at-once rows exactly."""
+
+    def add_rows(self, batch, rng, count):
+        handles = []
+        for _ in range(count):
+            length = int(rng.integers(1, 24))
+            weights = rng.uniform(0.1, 600.0, size=length)
+            handles.append(
+                batch.add(weights, float(rng.uniform(0.5, 8.0)), float(rng.uniform(0.0, 8.0)))
+            )
+        return handles
+
+    def test_incremental_solves_match_one_shot(self):
+        """Splitting adds across solves yields the all-at-once rows exactly."""
+        rng_a = np.random.default_rng(42)
+        rng_b = np.random.default_rng(42)
+        incremental = WarmRowBatch()
+        oneshot = WarmRowBatch()
+        # Mixed chunk sizes straddle SMALL_BATCH on both sides.
+        for chunk in (3, 12, 1, 9):
+            self.add_rows(incremental, rng_a, chunk)
+            incremental.solve_pending()
+        self.add_rows(oneshot, rng_b, 3 + 12 + 1 + 9)
+        oneshot.solve()
+        assert len(incremental) == len(oneshot)
+        for handle in range(len(oneshot)):
+            assert np.array_equal(
+                incremental.hint_row(handle), oneshot.hint_row(handle)
+            )
+            assert incremental.below_total(handle) == oneshot.below_total(handle)
+
+    def test_solve_is_idempotent(self):
+        rng = np.random.default_rng(3)
+        batch = WarmRowBatch()
+        handles = self.add_rows(batch, rng, 10)
+        batch.solve()
+        rows = [batch.hint_row(h).copy() for h in handles]
+        batch.solve()  # nothing pending: a no-op
+        for handle, row in zip(handles, rows):
+            assert np.array_equal(batch.hint_row(handle), row)
