@@ -30,7 +30,6 @@ from repro.perf import probe
 from repro.perf.tables import (
     batching_enabled,
     cache_enabled,
-    fused_commit_enabled,
     ladder_consts,
     note_batched_walk,
     note_warm_fill,
@@ -114,21 +113,21 @@ class PlanningJob:
     def progress_of(self, plan: np.ndarray) -> float:
         """Iterations achieved by a plan before this job's deadline.
 
-        Slots past the usable window carry zero weight, so restricting the
-        product to the window adds the exact same terms (every excluded
-        term is ``+0.0``) while keeping the arrays short.  The
-        cache-disabled path evaluates the plain full-horizon expression,
-        matching the reference fill's from-scratch discipline.
+        Slots past the usable window carry zero weight, so the window
+        holds every nonzero term.  The sum runs over the window on every
+        path, the cache-disabled reference included: ``np.sum`` reduces
+        pairwise in blocks whose boundaries depend on the array length, so
+        summing the same terms over the full horizon can round differently
+        and flip an Algorithm 2 priority comparison.
         """
-        if not cache_enabled():
-            return float((self.throughput_table[plan] * self.weights).sum())
         w = self.window(0)
         return float((self.throughput_table[plan[:w]] * self.weights[:w]).sum())
 
     def gpu_seconds_of(self, plan: np.ndarray) -> float:
-        """GPU-time a plan consumes within this job's usable window."""
-        if not cache_enabled():
-            return float((plan * self.weights).sum())
+        """GPU-time a plan consumes within this job's usable window.
+
+        Summed over the window on every path (see :meth:`progress_of`).
+        """
         w = self.window(0)
         return float((plan[:w] * self.weights[:w]).sum())
 
@@ -530,14 +529,6 @@ class AdmissionResult:
         infeasible_job: The first job whose deadline could not be met.
         degraded: Jobs whose deadlines are unmeetable; they hold zero
             reservation and run from leftovers (Section 4.4 soft handling).
-        slack: Planner-internal window-slack flags: ``slack[job_id]`` is
-            True when the producing fill saw at least the job's largest
-            runnable size free across its whole usable window, which makes
-            the fill a pure function of the planning view (every per-slot
-            take is unclamped).  The next event's delta pass reuses such
-            plans without inspecting capacity — see
-            ``AdmissionController._delta_fill_indexed``.  Empty on
-            sequential-solver and cache-disabled fills.
     """
 
     admitted: bool
@@ -545,7 +536,6 @@ class AdmissionResult:
     ledger: Ledger
     infeasible_job: str | None = None
     degraded: set[str] = field(default_factory=set)
-    slack: dict[str, bool] = field(default_factory=dict, repr=False)
 
 
 @dataclass
@@ -560,17 +550,12 @@ class _RetainedFill:
         plans: Plan per SLO job id (frozen arrays, shared by reference with
             the ledger the fill produced).
         degraded: SLO jobs whose deadlines were unmeetable in that fill.
-        slack: Window-slack flags of that fill (see ``AdmissionResult``);
-            a flagged job's plan is availability-independent and can be
-            reused under perturbed capacity as long as the slack condition
-            holds again.
     """
 
     grid_key: tuple[float, float, int]
     order: list[tuple[float, str, float, int]]
     plans: dict[str, np.ndarray]
     degraded: frozenset[str]
-    slack: dict[str, bool]
 
 
 @keyed(_fill_cache="_fingerprint", _retained="_fingerprint")
@@ -589,32 +574,14 @@ class AdmissionController:
     :func:`repro.perf.tables.planning_cache_disabled` is active or when any
     job carries a hand-built table (token ``-1``).
 
-    Two incremental layers sit on top of the exact-match memo:
-
-    - ``_retained`` remembers the previous soft fill (same ``_fingerprint``
-      key discipline).  When the next fill differs only by departures,
-      arrivals, or per-job state changes, :meth:`_delta_fill` walks the old
-      and new deadline orders in one two-pointer merge, reuses every plan
-      whose usable window sees an unchanged capacity prefix, and re-fills
-      only the rest — byte-identical to the cold fill because a job's plan
-      is a function of exactly (its view, the available-capacity prefix
-      ahead of it).  With the batched solver enabled the walk maintains a
-      scalar *perturbation watermark* instead of a delta vector and adds a
-      second reuse tier for slack-flagged jobs (see
-      :meth:`_delta_fill_indexed`).
-    - ``_warm_hints`` remembers the cap each ``(job_id, start_slot)`` fill
-      chose last time, letting :func:`progressive_filling` verify instead
-      of scan (``verified`` coherence: every hint is re-checked at use, so
-      staleness costs time, never correctness).  :meth:`prune_warm_hints`
-      bounds the dict on long traces.
-
-    Cold soft fills additionally run through :meth:`_fill_batched` while
-    :func:`repro.perf.tables.batching_enabled` holds: all hinted jobs'
-    constant-throughput rows are evaluated in a few bucketed matrix passes
-    up front (:class:`repro.core.batch.WarmRowBatch`) and the deadline-order
-    walk commits each plan with scalar checks, falling back to the
-    sequential :func:`progressive_filling` per job only when a row is
-    clamped or fails verification.
+    Memo misses run the batched commit walk (:meth:`_walk`), which
+    reuses plans from ``_retained`` — the previous soft fill, same
+    ``_fingerprint`` key discipline — when the next fill runs on the same
+    grid.  ``_warm_hints`` remembers the cap each ``(job_id, start_slot)``
+    fill chose last time, letting :func:`progressive_filling` verify
+    instead of scan (``verified`` coherence: every hint is re-checked at
+    use, so staleness costs time, never correctness);
+    :meth:`prune_warm_hints` bounds the dict on long traces.
 
     Args:
         capacity: Number of GPUs in the cluster.
@@ -630,14 +597,8 @@ class AdmissionController:
         self._fill_cache: OrderedDict[tuple, tuple] = OrderedDict()
         self._retained: _RetainedFill | None = None
         self._warm_hints: dict[tuple[str, int], int] = {}
-        # Event-scoped constant-row store: the batched rows are pure view
-        # functions keyed by (job, cap, tables token), stable for as long
-        # as the grid and the planning tables stand still — i.e. for every
-        # fill of one scheduling event (admission baseline, trial delta,
-        # allocation pass).  ``_event_key`` names that validity domain; a
-        # mismatched key resets the store, and every lookup re-checks the
-        # stored window length, so stale rows cost a rebuild, never a
-        # wrong decision.
+        # Event-scoped row store keyed (job, cap, tables token); see
+        # :meth:`_event_batch_for`.  Lookups re-check the window length.
         self._event_batch: WarmRowBatch | None = None
         self._event_rows: dict[tuple[str, int, int], tuple[int, int, int]] = {}
         self._event_key: tuple[float, float, int, int] | None = None
@@ -645,7 +606,6 @@ class AdmissionController:
         self.fill_cache_misses = 0
         self.delta_hits = 0
         self.delta_reuses = 0
-        self.delta_slack_reuses = 0
         self.delta_refills = 0
         self.delta_fast_accepts = 0
 
@@ -732,7 +692,7 @@ class AdmissionController:
         read-only vector is safe even though Algorithm 2 edits the ledger
         afterwards).
         """
-        admitted, plans, infeasible, degraded, used, slack = cached
+        admitted, plans, infeasible, degraded, used = cached
         out_plans: dict[str, np.ndarray] = {}
         for info in infos:
             plan = plans[info.job_id]
@@ -747,7 +707,6 @@ class AdmissionController:
             ledger=ledger,
             infeasible_job=infeasible,
             degraded=set(degraded),
-            slack=dict(slack),
         )
 
     def plan_shares(
@@ -768,12 +727,11 @@ class AdmissionController:
 
         Only soft (``stop_on_failure=False``) fills are memoized: the hard
         mode aborts mid-fill and its partial ledger is not worth replaying.
-        Cache misses first try the event-delta path against the retained
-        previous fill (:meth:`_delta_fill`) before falling back to the full
-        deadline-ordered fill; either way the produced fill becomes the new
-        retained snapshot.  The deadline order is computed once here and
-        shared by the walk, the delta pass and the snapshot (they used to
-        sort independently).
+        Cache misses walk against the retained previous fill
+        (:meth:`_delta_fill`) when it ran on the same grid, and fill cold
+        otherwise; either way the produced fill becomes the new retained
+        snapshot.  The deadline order is computed once here and shared by
+        the walk and the snapshot.
         """
         ordered = sorted(infos, key=_deadline_order)
         key = None
@@ -803,7 +761,6 @@ class AdmissionController:
                 result.infeasible_job,
                 frozenset(result.degraded),
                 result.ledger.used,
-                dict(result.slack),
             )
             while len(self._fill_cache) > self.FILL_CACHE_LIMIT:
                 self._fill_cache.popitem(last=False)
@@ -833,7 +790,6 @@ class AdmissionController:
             order=order,
             plans=plans,
             degraded=frozenset(result.degraded),
-            slack=dict(result.slack),
         )
 
     def _delta_fill(
@@ -841,319 +797,18 @@ class AdmissionController:
     ) -> AdmissionResult | None:
         """Rebuild a soft fill from the retained one, re-filling only deltas.
 
-        A job's minimum satisfactory share is a pure function of its
-        planning view and of the *available-capacity prefix* left by
-        earlier-deadline jobs, so a surviving job facing bit-identical
-        inputs can reuse its retained plan by reference.  Two walk
-        implementations share that contract: the batched-solver variant
-        (:meth:`_delta_fill_indexed`, default) tracks perturbations with a
-        scalar slot watermark plus per-job slack flags, and the sequential
-        variant (:meth:`_delta_fill_sequential`) maintains the full
-        old-minus-new delta vector.  Returns ``None`` (caller falls back
-        to the full fill) when there is no retained fill for this grid.
-        ``ordered`` is the caller's deadline-sorted view list.
+        Returns ``None`` (the caller fills cold) when there is no retained
+        fill for this grid, or when the batched solver is off — the
+        ``batched_solver_disabled()`` yardstick then re-solves every fill
+        with :meth:`_fill_sequential` and shares no walk logic with
+        production.  ``ordered`` is the caller's deadline-sorted view list.
         """
         retained = self._retained
-        if retained is None:
+        if retained is None or not batching_enabled():
             return None
         if retained.grid_key != (grid.origin, grid.slot_seconds, grid.horizon):
             return None
-        if batching_enabled():
-            return self._delta_fill_indexed(ordered, grid, retained)
-        return self._delta_fill_sequential(ordered, grid, retained)
-
-    @mutates("Ledger._plans", "Ledger._used")
-    def _delta_fill_indexed(
-        self,
-        ordered: list[PlanningJob],
-        grid: SlotGrid,
-        retained: _RetainedFill,
-    ) -> AdmissionResult:
-        """Delta walk with an interval index instead of a delta vector.
-
-        Every capacity perturbation this event introduces — a departed
-        plan, an arrival's new plan, a refilled plan's difference — begins
-        at some slot; ``lo`` tracks the lowest such slot seen so far.  A
-        matched job whose usable window ends at or before ``lo`` faces a
-        bit-identical capacity prefix, so its plan is reused with one
-        integer comparison and no vector work at all ("never visit" rather
-        than "reuse after an O(window) check").  Because windows are
-        prefixes of the slot grid, the single watermark *is* the interval
-        index over usable-window spans: ``w <= lo`` is exactly "this job's
-        window does not intersect the perturbed range".
-
-        Jobs whose windows do cross the watermark get a second chance from
-        their retained *slack* flag: if the previous fill saw the job's
-        largest runnable size free across its whole window, its plan was a
-        pure function of the view (every take unclamped); if the current
-        prefix is slack too, a refill would recompute that same pure
-        function, so the retained plan is reused — even though capacity
-        under it changed.  (Warm-hint state may differ between the two
-        fills, but under slack a wrong hint fails verification and the
-        scan lands on the same minimal row, so the fill result is
-        hint-independent.)  Refills first try a *fast accept* against the
-        event-scoped row store (:meth:`_event_batch_for`): when the job is
-        unclamped at its hinted cap and this event's baseline fill already
-        solved that cap's constant-throughput row, two scalar comparisons
-        replace the cumsums progressive_filling's warm verification would
-        re-run — same floats, same order, bit-identical outcome.
-        Everything else re-runs :func:`progressive_filling` against exact
-        availability, exactly as the cold fill would.
-        """
-        horizon = grid.horizon
-        capacity = self.capacity
-        old = retained.order
-        old_plans = retained.plans
-        old_slack = retained.slack
-        n_old = len(old)
-        pos = 0
-        used = np.zeros(horizon, dtype=np.int64)
-        lo = horizon  # slots below ``lo`` see a bit-identical used-prefix
-        plans: dict[str, np.ndarray] = {}
-        slack: dict[str, bool] = {}
-        degraded: set[str] = set()
-        infeasible: str | None = None
-        zero_plan: np.ndarray | None = None
-        reuses = slack_reuses = refills = fast = 0
-        hints = self._warm_hints
-        # Rows solved by this event's baseline fill: an unclamped refill
-        # whose hinted cap still matches verifies against the stored row
-        # with two scalar comparisons instead of re-running the cumsums
-        # inside progressive_filling (same floats, same order — see
-        # :meth:`_event_batch_for`).
-        batch = self._event_batch_for(grid)
-        rows = self._event_rows
-        for info in ordered:
-            if info.best_effort:
-                info.degraded = False
-                if zero_plan is None:
-                    zero_plan = np.zeros(horizon, dtype=np.int64)
-                info.min_share_plan = zero_plan
-                plans[info.job_id] = zero_plan
-                continue
-            okey = (info.deadline, info.job_id)
-            while pos < n_old and (old[pos][0], old[pos][1]) < okey:
-                # Departed (or re-ordered) job: capacity changes from its
-                # plan's first occupied slot onward.
-                nonzero = np.flatnonzero(old_plans[old[pos][1]])
-                if nonzero.size:
-                    lo = min(lo, int(nonzero[0]))
-                pos += 1
-            had_old = False
-            matched = False
-            if pos < n_old and (old[pos][0], old[pos][1]) == okey:
-                entry = old[pos]
-                pos += 1
-                had_old = True
-                matched = (
-                    entry[2] == info.remaining_iterations
-                    and entry[3] == info.tables_token
-                )
-            info.degraded = False
-            w = info.window(0)
-            if matched:
-                reuse = w <= lo
-                if reuse:
-                    # Unperturbed prefix: the slack condition holds exactly
-                    # when it held in the retained fill.
-                    if old_slack.get(info.job_id, False):
-                        slack[info.job_id] = True
-                elif (
-                    old_slack.get(info.job_id, False)
-                    and info.sizes
-                    and capacity - int(used[:w].max()) >= int(info.sizes[-1])
-                ):
-                    reuse = True
-                    slack_reuses += 1
-                    slack[info.job_id] = True
-                if reuse:
-                    plan = old_plans[info.job_id]
-                    if info.job_id in retained.degraded:
-                        info.degraded = True
-                        degraded.add(info.job_id)
-                        infeasible = infeasible or info.job_id
-                    info.min_share_plan = plan
-                    plans[info.job_id] = plan
-                    if w:
-                        used[:w] += plan[:w]
-                    reuses += 1
-                    continue
-            refills += 1
-            old_plan = old_plans[info.job_id] if had_old else None
-            free_min = capacity - int(used[:w].max()) if w else capacity
-            plan = None
-            if w and info.sizes and info.remaining_iterations > _EPS:
-                cap = hints.get((info.job_id, 0))
-                if cap is not None and free_min >= cap:
-                    entry = rows.get((info.job_id, cap, info.tables_token))
-                    if entry is not None and entry[2] == w:
-                        # Unclamped at the hinted cap: the event row is
-                        # exactly the progress row progressive_filling's
-                        # warm verification would rebuild, so the same two
-                        # comparisons decide — and on success the hint
-                        # needs no write-back (it was read at this cap).
-                        required = info.remaining_iterations
-                        threshold = required - _EPS
-                        row = batch.hint_row(entry[0])
-                        if (
-                            row[-1] >= threshold
-                            and batch.below_total(entry[0]) < threshold
-                        ):
-                            fast += 1
-                            plan = _emit_plan(
-                                info,
-                                np.zeros(horizon, dtype=np.int64),
-                                entry[1],
-                                row,
-                                required,
-                                threshold,
-                                info.weights[:w],
-                                0,
-                            )
-            if plan is None:
-                plan = progressive_filling(
-                    info, capacity - used, warm_hints=hints
-                )
-            if plan is None:
-                info.degraded = True
-                degraded.add(info.job_id)
-                infeasible = infeasible or info.job_id
-                plan = np.zeros(horizon, dtype=np.int64)
-            if info.sizes and w:
-                slack[info.job_id] = free_min >= int(info.sizes[-1])
-            info.min_share_plan = plan
-            plans[info.job_id] = plan
-            if old_plan is not None:
-                # A refill that reproduces the old plan exactly perturbs
-                # nothing (the common case when only bookkeeping ahead of
-                # the job moved); otherwise capacity changes from the
-                # first differing slot onward.
-                if not np.array_equal(old_plan, plan):
-                    lo = min(lo, int(np.argmax(old_plan != plan)))
-            else:
-                nonzero = np.flatnonzero(plan)
-                if nonzero.size:
-                    lo = min(lo, int(nonzero[0]))
-            if w:
-                used[:w] += plan[:w]
-        ledger = Ledger(capacity, horizon)
-        ledger.load_plans(plans, used)
-        note_batched_walk(fast, 0)
-        probe.add_counters({"alg1_delta_fast": fast})
-        self.delta_hits += 1
-        self.delta_reuses += reuses
-        self.delta_slack_reuses += slack_reuses
-        self.delta_refills += refills
-        self.delta_fast_accepts += fast
-        return AdmissionResult(
-            admitted=infeasible is None,
-            plans=plans,
-            ledger=ledger,
-            infeasible_job=infeasible,
-            degraded=degraded,
-            slack=slack,
-        )
-
-    @mutates("Ledger._plans", "Ledger._used")
-    def _delta_fill_sequential(
-        self,
-        ordered: list[PlanningJob],
-        grid: SlotGrid,
-        retained: _RetainedFill,
-    ) -> AdmissionResult:
-        """Delta walk of the sequential solver generation.
-
-        Maintains ``delta`` = (old used prefix) − (new used prefix): a
-        surviving job whose view is unchanged and whose usable window sees
-        an all-zero delta faces bit-identical inputs, so its retained plan
-        (and degraded flag) is reused by reference; everything else —
-        arrivals, changed views, jobs behind a perturbed prefix — re-runs
-        :func:`progressive_filling` exactly as the cold fill would.
-        Departed jobs' plans enter ``delta`` as freed capacity.
-        """
-        horizon = grid.horizon
-        old = retained.order
-        old_plans = retained.plans
-        n_old = len(old)
-        pos = 0
-        used = np.zeros(horizon, dtype=np.int64)
-        delta: np.ndarray | None = None  # lazily materialized; None == all-zero
-        plans: dict[str, np.ndarray] = {}
-        degraded: set[str] = set()
-        infeasible: str | None = None
-        reuses = refills = 0
-        for info in ordered:
-            if info.best_effort:
-                info.degraded = False
-                plan = np.zeros(horizon, dtype=np.int64)
-                info.min_share_plan = plan
-                plans[info.job_id] = plan
-                continue
-            okey = (info.deadline, info.job_id)
-            while pos < n_old and (old[pos][0], old[pos][1]) < okey:
-                # Departed (or re-ordered) job: its old plan is freed capacity.
-                if delta is None:
-                    delta = np.zeros(horizon, dtype=np.int64)
-                delta += old_plans[old[pos][1]]
-                pos += 1
-            had_old = False
-            matched = False
-            if pos < n_old and (old[pos][0], old[pos][1]) == okey:
-                entry = old[pos]
-                pos += 1
-                had_old = True
-                matched = (
-                    entry[2] == info.remaining_iterations
-                    and entry[3] == info.tables_token
-                )
-                # An unmatched same-key entry is a view change: handled as
-                # departure + arrival (old plan freed, job re-filled).
-            info.degraded = False
-            old_plan = old_plans[info.job_id] if had_old else None
-            if matched:
-                w = info.window(0)
-                if delta is None or not delta[:w].any():
-                    plan = old_plans[info.job_id]
-                    if info.job_id in retained.degraded:
-                        info.degraded = True
-                        degraded.add(info.job_id)
-                        infeasible = infeasible or info.job_id
-                    info.min_share_plan = plan
-                    plans[info.job_id] = plan
-                    used += plan
-                    reuses += 1
-                    continue
-            refills += 1
-            available = self.capacity - used
-            plan = progressive_filling(
-                info, available, warm_hints=self._warm_hints
-            )
-            if plan is None:
-                info.degraded = True
-                degraded.add(info.job_id)
-                infeasible = infeasible or info.job_id
-                plan = np.zeros(horizon, dtype=np.int64)
-            info.min_share_plan = plan
-            plans[info.job_id] = plan
-            used += plan
-            if old_plan is not None or plan.any():
-                if delta is None:
-                    delta = np.zeros(horizon, dtype=np.int64)
-                delta -= plan
-                if old_plan is not None:
-                    delta += old_plan
-        ledger = Ledger(self.capacity, horizon)
-        ledger.load_plans(plans, used)
-        self.delta_hits += 1
-        self.delta_reuses += reuses
-        self.delta_refills += refills
-        return AdmissionResult(
-            admitted=infeasible is None,
-            plans=plans,
-            ledger=ledger,
-            infeasible_job=infeasible,
-            degraded=degraded,
-        )
+        return self._walk(ordered, grid, retained)
 
     def _fill(
         self,
@@ -1163,53 +818,48 @@ class AdmissionController:
         stop_on_failure: bool,
     ) -> AdmissionResult:
         if not stop_on_failure and cache_enabled() and batching_enabled():
-            return self._fill_batched(ordered, grid)
+            return self._walk(ordered, grid, None)
         return self._fill_sequential(ordered, grid, stop_on_failure=stop_on_failure)
 
     @mutates("Ledger._plans", "Ledger._used")
-    def _fill_batched(
-        self, ordered: list[PlanningJob], grid: SlotGrid
+    def _walk(
+        self,
+        ordered: list[PlanningJob],
+        grid: SlotGrid,
+        retained: _RetainedFill | None,
     ) -> AdmissionResult:
-        """Cold soft fill as a batched commit walk (bit-identical).
+        """Soft Algorithm 1 fill as one deadline-order commit walk.
+
+        A cold fill is a delta fill with nothing retained — every job is
+        an arrival — so one walk serves both (bit-identical to
+        :meth:`_fill_sequential` either way).
 
         Phase 1 packs every warm-hinted SLO job's usable-window weights
-        into :class:`repro.core.batch.WarmRowBatch` and evaluates all
-        hinted-cap and next-lower-cap cumulative-progress rows in a few
-        bucketed matrix passes — these rows are pure view functions, valid
-        regardless of how earlier jobs' plans land.  The batch is *event
-        scoped* (:meth:`_event_batch_for`): the second and third fill of
-        the same scheduling event (trial delta, allocation pass) find
-        their rows already solved and skip both the ladder lookups and the
-        cumsums for every job whose hinted cap did not move.  Phase 2 walks the
-        deadline order committing plans: when the minimum free capacity
-        across a job's window still covers its hinted cap (the fill is
-        unclamped), the precomputed rows decide hint verification with two
-        scalar comparisons and the plan is emitted straight from the
-        batched row; otherwise the job falls back to the sequential
-        :func:`progressive_filling` against exact availability.  Either
-        route performs the same comparisons on the same floats as the
-        sequential walk, so the fill is bit-identical (the property tests
-        and the scale benches assert this against
-        :func:`repro.perf.tables.batched_solver_disabled`).
+        into the event-scoped :class:`repro.core.batch.WarmRowBatch`
+        (:meth:`_event_batch_for`) and evaluates all hinted-cap and
+        next-lower-cap cumulative-progress rows in a few bucketed matrix
+        passes.  These rows are pure view functions, valid however earlier
+        jobs' plans land, so later fills of the same event find them
+        already solved.
 
-        The walk also records each job's window-slack flag — whether the
-        largest runnable size was free across its whole window — which the
-        next event's :meth:`_delta_fill_indexed` uses as its second reuse
-        tier.
+        Phase 2 walks the deadline order.  For each SLO job:
 
-        While :func:`repro.perf.tables.fused_commit_enabled` holds, runs
-        of consecutive fast-accepted plans are committed as *fused* array
-        updates: a fast-accepted plan is a constant ``s_cap`` prefix with
-        the completion slot shaved to at most ``s_cap`` — non-increasing —
-        so while every committed plan is non-increasing the occupancy
-        vector is too, and the per-window ``max`` the walk gates on is
-        just its slot-0 value.  Each fast accept then deposits three
-        integer entries into a difference vector instead of an O(window)
-        array add, and one ``cumsum`` materialises the whole run when a
-        fallback (or the final ledger load) needs exact per-slot
-        occupancy.  Integer arithmetic is exact, so the materialised
-        vector and every ``free_min`` read along the way are bit-equal to
-        the per-plan adds.
+        1. With a retained fill, reuse the job's plan by reference when
+           its view is unchanged and its usable window ends at or before
+           the watermark ``lo`` — the first slot at which any departed
+           plan, arrival or refill has touched capacity in this walk.
+           Windows are prefixes of the slot grid, so ``w <= lo`` is exactly
+           "this job faces a bit-identical capacity prefix".  A refill
+           lowers ``lo`` only to the first slot where its plan differs from
+           the old one, so a refill that reproduces its plan perturbs
+           nothing.
+        2. Otherwise, when the minimum free capacity across the window
+           still covers the hinted cap (the fill is unclamped), the stored
+           rows decide the warm verification with two scalar comparisons
+           and the plan is emitted straight from the row — the same floats
+           in the same order as the sequential verification.
+        3. Otherwise, run :func:`progressive_filling` against exact
+           availability, exactly as the cold sequential fill would.
         """
         horizon = grid.horizon
         capacity = self.capacity
@@ -1232,9 +882,6 @@ class AdmissionController:
             rkey = (info.job_id, cap, info.tables_token)
             entry = rows.get(rkey)
             if entry is not None and entry[2] == w:
-                # Solved earlier this event (baseline or trial fill); the
-                # row is a pure view function, so reuse skips both the
-                # ladder lookup and the cumsum.
                 prepared[i] = (entry[0], cap, entry[1], w)
                 row_reuses += 1
                 continue
@@ -1254,41 +901,17 @@ class AdmissionController:
             prepared[i] = (handle, cap, s_cap, w)
         batch.solve()
 
+        old = retained.order if retained is not None else []
+        old_plans = retained.plans if retained is not None else {}
+        n_old = len(old)
+        pos = 0
+        lo = horizon  # slots below ``lo`` see a bit-identical used-prefix
         used = np.zeros(horizon, dtype=np.int64)
         plans: dict[str, np.ndarray] = {}
-        slack: dict[str, bool] = {}
         degraded: set[str] = set()
         infeasible: str | None = None
         zero_plan: np.ndarray | None = None
-        fused = fused_commit_enabled()
-        # Deferred fast-accept commits: ``diff`` holds per-slot deltas of
-        # the run in flight, ``pending0`` their exact slot-0 total and
-        # ``pending_hi`` one past the highest touched index.  ``fused``
-        # is demoted for the rest of the walk the moment a committed plan
-        # is not non-increasing, because only then can the occupancy max
-        # sit anywhere but slot 0.
-        diff = np.zeros(horizon + 1, dtype=np.int64) if fused else None
-        pending0 = 0
-        pending_hi = 0
-        fused_runs = 0
-        fused_jobs = 0
-        fast_accepts = 0
-        fallbacks = 0
-
-        def materialize() -> None:
-            nonlocal pending0, pending_hi, fused_runs
-            if pending_hi:
-                k = min(pending_hi, horizon)
-                # int64 cumsum: exact, so the fused run lands bit-equal
-                # to the per-plan adds it replaced.  The entry at index
-                # ``horizon`` (a run ending in the last slot) only closes
-                # intervals past the horizon and is dropped.
-                used[:k] += np.cumsum(diff[:k])
-                diff[:pending_hi] = 0
-                pending0 = 0
-                pending_hi = 0
-                fused_runs += 1
-
+        reuses = refills = fast = fallbacks = 0
         for i, info in enumerate(ordered):
             info.degraded = False
             if info.best_effort:
@@ -1299,20 +922,40 @@ class AdmissionController:
                 continue
             prep = prepared[i]
             w = prep[3] if prep is not None else info.window(0)
-            if not w:
-                free_min = capacity
-            elif fused:
-                # Non-increasing occupancy: the max over any window prefix
-                # is the slot-0 value, materialised part plus pending part.
-                free_min = capacity - (int(used[0]) + pending0)
-            else:
-                free_min = capacity - int(used[:w].max())
+            old_plan = None
+            if retained is not None:
+                okey = (info.deadline, info.job_id)
+                while pos < n_old and (old[pos][0], old[pos][1]) < okey:
+                    # Departed (or re-ordered) job: capacity changes from
+                    # its plan's first occupied slot onward.
+                    nonzero = np.flatnonzero(old_plans[old[pos][1]])
+                    if nonzero.size:
+                        lo = min(lo, int(nonzero[0]))
+                    pos += 1
+                if pos < n_old and (old[pos][0], old[pos][1]) == okey:
+                    entry = old[pos]
+                    pos += 1
+                    old_plan = old_plans[info.job_id]
+                    if (
+                        w <= lo
+                        and entry[2] == info.remaining_iterations
+                        and entry[3] == info.tables_token
+                    ):
+                        if info.job_id in retained.degraded:
+                            info.degraded = True
+                            degraded.add(info.job_id)
+                            infeasible = infeasible or info.job_id
+                        info.min_share_plan = old_plan
+                        plans[info.job_id] = old_plan
+                        if w:
+                            used[:w] += old_plan[:w]
+                        reuses += 1
+                        continue
+                refills += 1
             plan = None
             if prep is not None:
                 handle, cap, s_cap, _w = prep
-                if free_min >= cap:
-                    # Unclamped: the batched rows are exactly the rows the
-                    # sequential warm verification would have built.
+                if capacity - int(used[:w].max()) >= cap:
                     required = info.remaining_iterations
                     threshold = required - _EPS
                     row = batch.hint_row(handle)
@@ -1322,7 +965,7 @@ class AdmissionController:
                     ):
                         # The verified hint came out of ``hints`` with this
                         # exact cap, so there is nothing to write back.
-                        fast_accepts += 1
+                        fast += 1
                         plan = _emit_plan(
                             info,
                             np.zeros(horizon, dtype=np.int64),
@@ -1333,57 +976,35 @@ class AdmissionController:
                             info.weights[:w],
                             0,
                         )
-                        if fused and w:
-                            # Commit as three difference entries: s_cap
-                            # over [0, done), the shaved size at the
-                            # completion slot, nothing after.
-                            done = int(np.searchsorted(row, threshold))
-                            shaved = int(plan[done])
-                            diff[0] += s_cap
-                            diff[done] += shaved - s_cap
-                            diff[done + 1] -= shaved
-                            pending0 += s_cap if done else shaved
-                            if done + 2 > pending_hi:
-                                pending_hi = done + 2
-                            fused_jobs += 1
-                            if info.sizes:
-                                slack[info.job_id] = free_min >= int(
-                                    info.sizes[-1]
-                                )
-                            info.min_share_plan = plan
-                            plans[info.job_id] = plan
-                            continue
             if plan is None:
                 fallbacks += 1
-                if fused:
-                    # The sequential fill reads exact per-slot capacity.
-                    materialize()
-                plan = progressive_filling(
-                    info, capacity - used, warm_hints=hints
-                )
+                plan = progressive_filling(info, capacity - used, warm_hints=hints)
             if plan is None:
-                infeasible = infeasible or info.job_id
                 info.degraded = True
                 degraded.add(info.job_id)
+                infeasible = infeasible or info.job_id
                 plan = np.zeros(horizon, dtype=np.int64)
-            if info.sizes and w:
-                slack[info.job_id] = free_min >= int(info.sizes[-1])
             info.min_share_plan = plan
             plans[info.job_id] = plan
+            if retained is not None:
+                if old_plan is not None:
+                    if not np.array_equal(old_plan, plan):
+                        lo = min(lo, int(np.argmax(old_plan != plan)))
+                else:
+                    nonzero = np.flatnonzero(plan)
+                    if nonzero.size:
+                        lo = min(lo, int(nonzero[0]))
             if w:
                 used[:w] += plan[:w]
-                if fused and np.any(np.diff(plan[:w]) > 0):
-                    fused = False  # occupancy max may leave slot 0 now
-        if fused:
-            materialize()
-        note_batched_walk(fast_accepts, fallbacks)
-        probe.add_counters(
-            {
-                "alg1_fused_runs": fused_runs,
-                "alg1_fused_jobs": fused_jobs,
-                "alg1_row_reuses": row_reuses,
-            }
-        )
+        note_batched_walk(fast, fallbacks)
+        counters = {"alg1_row_reuses": row_reuses}
+        if retained is not None:
+            counters["alg1_delta_fast"] = fast
+            self.delta_hits += 1
+            self.delta_reuses += reuses
+            self.delta_refills += refills
+            self.delta_fast_accepts += fast
+        probe.add_counters(counters)
         ledger = Ledger(capacity, horizon)
         ledger.load_plans(plans, used)
         return AdmissionResult(
@@ -1392,7 +1013,6 @@ class AdmissionController:
             ledger=ledger,
             infeasible_job=infeasible,
             degraded=degraded,
-            slack=slack,
         )
 
     @mutates("Ledger._plans", "Ledger._used")

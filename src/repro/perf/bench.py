@@ -47,7 +47,6 @@ from repro.perf import probe
 from repro.perf.tables import (
     batched_solver_disabled,
     cache_stats,
-    fused_commit_disabled,
     planning_cache_disabled,
     planning_frame_disabled,
     reset_cache,
@@ -268,7 +267,6 @@ def _run_sim(
         "fill_cache_misses": 0,
         "delta_hits": 0,
         "delta_reuses": 0,
-        "delta_slack_reuses": 0,
         "delta_refills": 0,
     }
     for controller in policy._controllers.values():
@@ -276,7 +274,6 @@ def _run_sim(
         incremental["fill_cache_misses"] += controller.fill_cache_misses
         incremental["delta_hits"] += controller.delta_hits
         incremental["delta_reuses"] += controller.delta_reuses
-        incremental["delta_slack_reuses"] += controller.delta_slack_reuses
         incremental["delta_refills"] += controller.delta_refills
     metrics: dict[str, Any] = {
         "wall_s": wall,
@@ -495,9 +492,9 @@ def run_benchmarks(
     per-call dispatch, which does not change with cluster size).
     ``profile`` runs the cached end-to-end pass under :mod:`cProfile` and
     exports the hotspots under the report's ``profile`` key.
-    ``disable_new_layers`` engages all three escape hatches of the
-    persistent-state layers (planning frame, vectorized sim advance,
-    fused commits) for the whole run — the CI parity gate compares
+    ``disable_new_layers`` engages both escape hatches of the
+    persistent-state layers (planning frame, vectorized sim advance)
+    for the whole run — the CI parity gate compares
     its decision digest against the default run's.
     """
     if scale is None:
@@ -515,7 +512,6 @@ def run_benchmarks(
         if disable_new_layers:
             stack.enter_context(planning_frame_disabled())
             stack.enter_context(sim_vector_disabled())
-            stack.enter_context(fused_commit_disabled())
         if scale in ("quick", "full"):
             report["admission"] = bench_admission(
                 100 if scale == "quick" else 400, seed
@@ -573,8 +569,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--disable-new-layers",
         action="store_true",
-        help="engage all three persistent-state escape hatches (planning "
-        "frame, vectorized sim advance, fused commits) — the CI parity "
+        help="engage both persistent-state escape hatches (planning "
+        "frame, vectorized sim advance) — the CI parity "
         "gate compares this run's decision digest against the default "
         "run's",
     )
@@ -650,7 +646,7 @@ def main(argv: list[str] | None = None) -> int:
     inc = e2e["cached"]["incremental"]
     print(
         f"incremental: delta {inc['delta_hits']} fills ({inc['delta_reuses']} "
-        f"reused, {inc['delta_slack_reuses']} via slack / "
+        f"reused / "
         f"{inc['delta_refills']} refilled), fill-memo {inc['fill_cache_hits']} hits"
     )
     print(f"report written to {output}")

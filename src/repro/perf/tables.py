@@ -56,14 +56,10 @@ __all__ = [
     "sim_vector_enabled",
     "set_sim_vector_enabled",
     "sim_vector_disabled",
-    "fused_commit_enabled",
-    "set_fused_commit_enabled",
-    "fused_commit_disabled",
     "tables_global_revision",
     "cache_stats",
     "ladder_consts",
     "note_warm_fill",
-    "note_batch_fill",
     "note_batched_walk",
     "reset_cache",
 ]
@@ -98,7 +94,6 @@ _enabled: bool = True
 _batching: bool = True
 _frame: bool = True
 _sim_vector: bool = True
-_fused_commit: bool = True
 _global_revision: int = 0
 _stats = {
     "hits": 0,
@@ -299,11 +294,11 @@ def batching_enabled() -> bool:
     """Whether the batched multi-job solver layer is currently on.
 
     The batched solver (see ``repro.core.batch`` and the admission
-    controller's ``_fill_batched``/``_delta_fill_indexed``) is a separate
-    toggle from the memo switch: turning it off while leaving the caches on
-    yields the sequential per-job solver of the previous generation, which
-    is the reference the scale-equivalence benchmarks compare against
-    (running the fully uncached reference at 16k GPUs is intractable).
+    controller's ``_walk``) is a separate toggle from the memo switch:
+    turning it off while leaving the caches on yields the sequential
+    per-job solver, which is the reference the scale-equivalence
+    benchmarks compare against (running the fully uncached reference at
+    16k GPUs is intractable).
     Call sites must still gate on :func:`cache_enabled` first — the
     cache-disabled escape hatch always routes to the reference scan.
     """
@@ -395,34 +390,6 @@ def sim_vector_disabled():
         set_sim_vector_enabled(previous)
 
 
-def fused_commit_enabled() -> bool:
-    """Whether ``_fill_batched`` commits fast-accept runs as fused array
-    updates.
-
-    When off, every accepted plan is committed to the shared usage ledger
-    with its own O(window) array add, as the previous generation did.
-    """
-    return _fused_commit
-
-
-def set_fused_commit_enabled(enabled: bool) -> bool:
-    """Flip the fused-commit switch; returns the previous setting."""
-    global _fused_commit
-    previous = _fused_commit
-    _fused_commit = bool(enabled)
-    return previous
-
-
-@contextmanager
-def fused_commit_disabled():
-    """Context manager: commit each accepted plan individually."""
-    previous = set_fused_commit_enabled(False)
-    try:
-        yield
-    finally:
-        set_fused_commit_enabled(previous)
-
-
 def cache_stats() -> dict[str, int]:
     """Hit/miss/bypass/invalidation counters (copies; for tests & bench)."""
     return dict(_stats)
@@ -439,15 +406,6 @@ def note_warm_fill(hit: bool) -> None:
         _stats["warm_hits"] += 1
     else:
         _stats["warm_misses"] += 1
-
-
-def note_batch_fill(hit: bool) -> None:
-    """Count one batched-row fill attempt (emitted from the batch vs fell
-    back to the per-job sequential fill)."""
-    if hit:
-        _stats["batch_hits"] += 1
-    else:
-        _stats["batch_misses"] += 1
 
 
 def note_batched_walk(accepts: int, fallbacks: int) -> None:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core.admission import (
     AdmissionController,
+    PlanningJob,
     _progressive_filling_reference,
     progressive_filling,
 )
@@ -113,13 +114,75 @@ class TestFillEquivalence:
         assert np.array_equal(fast, reference)
 
 
+@st.composite
+def windowed_views(draw):
+    """A view whose usable window is shorter than the horizon, plus a plan.
+
+    Horizons start at 9 so that ``np.sum``'s blocked pairwise reduction
+    groups the window's terms differently from the horizon's."""
+    horizon = draw(st.integers(min_value=9, max_value=64))
+    window = draw(st.integers(min_value=1, max_value=horizon - 1))
+    capacity = 8
+    weights = np.zeros(horizon)
+    weights[:window] = draw(
+        st.lists(
+            st.floats(min_value=0.01, max_value=600.0),
+            min_size=window,
+            max_size=window,
+        )
+    )
+    steps = draw(
+        st.lists(
+            st.floats(min_value=0.01, max_value=5.0),
+            min_size=capacity,
+            max_size=capacity,
+        )
+    )
+    throughput_table = np.concatenate(([0.0], np.cumsum(steps)))
+    plan = np.array(
+        draw(
+            st.lists(
+                st.integers(min_value=0, max_value=capacity),
+                min_size=horizon,
+                max_size=horizon,
+            )
+        ),
+        dtype=np.int64,
+    )
+    info = PlanningJob(
+        job_id="j",
+        remaining_iterations=1.0,
+        deadline=float(window),
+        weights=weights,
+        throughput_table=throughput_table,
+        size_table=np.arange(capacity + 1, dtype=np.int64),
+        sizes=list(range(1, capacity + 1)),
+    )
+    return info, plan
+
+
+class TestWindowedSums:
+    """``progress_of`` and ``gpu_seconds_of`` feed Algorithm 2's priority
+    comparisons, so the cache-disabled reference must round them exactly
+    as production does."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(windowed_views())
+    def test_cached_and_reference_sums_agree(self, instance):
+        info, plan = instance
+        cached = (info.progress_of(plan), info.gpu_seconds_of(plan))
+        with planning_cache_disabled():
+            reference = (info.progress_of(plan), info.gpu_seconds_of(plan))
+        assert cached == reference
+
+
 # -------------------------------------------------------- controller level
 @st.composite
 def controller_scenarios(draw):
     """A randomized multi-job admission instance plus a perturbation
     sequence: each step re-plans some subset of the jobs with rescaled
-    remaining work, exercising the delta path's departures, arrivals,
-    watermark reuses, slack reuses, and refills."""
+    remaining work, exercising the delta walk's departures, arrivals,
+    watermark reuses, and refills."""
     horizon = draw(st.integers(min_value=4, max_value=10))
     capacity = draw(st.sampled_from([4, 8]))
     n_jobs = draw(st.integers(min_value=2, max_value=5))
@@ -211,9 +274,9 @@ def _run_scenario(scenario, mode):
 
 
 class TestBatchedSolverEquivalence:
-    """The batched multi-job solver (with its interval index and slack
-    tier) must be bit-identical to the sequential per-job solver and to the
-    cache-disabled reference across whole perturbation sequences."""
+    """The batched commit walk (cold and delta) must be bit-identical to
+    the sequential per-job solver and to the cache-disabled reference
+    across whole perturbation sequences."""
 
     @settings(max_examples=80, deadline=None)
     @given(controller_scenarios())

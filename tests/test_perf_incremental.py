@@ -1,9 +1,9 @@
 """Tests for the incremental replanning layer.
 
 Covers the reuse tiers added on top of the exact-match fill memo — the
-interval-indexed retained-fill event-delta path in ``AdmissionController``
-(watermark reuse plus the slack tier), warm-started progressive filling,
-and the batched cold fill — plus the phase probe, warm-hint pruning, and
+retained-fill event-delta walk in ``AdmissionController`` (watermark
+reuse), warm-started progressive filling, and the batched cold walk —
+plus the phase probe, warm-hint pruning, and
 the bounded controller cache.  The load-bearing property throughout is
 *bit-identical decisions*: every fast path must reproduce exactly what the
 cold solve (and the cache-disabled reference) would have produced.
@@ -177,12 +177,9 @@ class TestDeltaFill:
                                   stop_on_failure=False)
         assert ctrl.delta_hits == 1
         # `a` precedes the departure: watermark-reused by reference.  `c`
-        # sits behind the freed capacity, but its retained fill had top-size
-        # headroom, so the slack tier reuses it too — nothing refills.
+        # sits behind the freed capacity, so it refills.
         assert second.plans["a"] is first.plans["a"]
-        assert second.plans["c"] is first.plans["c"]
-        assert ctrl.delta_reuses == 2 and ctrl.delta_refills == 0
-        assert ctrl.delta_slack_reuses == 1
+        assert ctrl.delta_reuses == 1 and ctrl.delta_refills == 1
         self._assert_matches_cold(second, [self.a, self.c])
 
     def test_arrival_refills_only_the_suffix(self):
@@ -193,10 +190,8 @@ class TestDeltaFill:
                                   stop_on_failure=False)
         assert ctrl.delta_hits == 1
         assert second.plans["a"] is first.plans["a"]
-        # Only the arrival itself refills; `c` had slack headroom and is
-        # reused by reference despite sitting behind the new plan.
-        assert second.plans["c"] is first.plans["c"]
-        assert ctrl.delta_reuses == 2 and ctrl.delta_refills == 1
+        # The arrival and `c`, which sits behind the new plan, refill.
+        assert ctrl.delta_reuses == 1 and ctrl.delta_refills == 2
         self._assert_matches_cold(second, [self.a, self.b, self.c])
 
     @pytest.mark.parametrize(
@@ -268,6 +263,40 @@ class TestDeltaFill:
                                             stop_on_failure=False)
         assert _plans_equal(result.plans, cold.plans)
 
+    def test_saturated_window_refill_matches_cold(self):
+        # At capacity 5 `c` has no headroom left behind the departure, so
+        # its refill is clamped and must still land on the cold plan.
+        a = tokened_job("a", 2.0, 2.0, self.grid, 5, token=1)
+        b = tokened_job("b", 6.0, 4.0, self.grid, 5, token=2)
+        c = tokened_job("c", 8.0, 6.0, self.grid, 5, token=3)
+        ctrl = AdmissionController(5)
+        ctrl.plan_shares([a, b, c], self.grid, stop_on_failure=False)
+        second = ctrl.plan_shares([a, c], self.grid, stop_on_failure=False)
+        assert ctrl.delta_reuses == 1 and ctrl.delta_refills == 1
+        cold = AdmissionController(5)._fill([a, c], self.grid,
+                                            stop_on_failure=False)
+        assert _plans_equal(second.plans, cold.plans)
+
+    def test_departure_delta_matches_sequential_solver(self):
+        # The delta walk and the sequential yardstick (which re-solves
+        # every fill cold) must agree bit for bit on the same sequence.
+        batched = AdmissionController(8)
+        batched.plan_shares([self.a, self.b, self.c], self.grid,
+                            stop_on_failure=False)
+        fast = batched.plan_shares([self.a, self.c], self.grid,
+                                   stop_on_failure=False)
+        assert batched.delta_hits == 1
+        with batched_solver_disabled():
+            sequential = AdmissionController(8)
+            sequential.plan_shares([self.a, self.b, self.c], self.grid,
+                                   stop_on_failure=False)
+            slow = sequential.plan_shares([self.a, self.c], self.grid,
+                                          stop_on_failure=False)
+        assert sequential.delta_hits == 0
+        assert _plans_equal(fast.plans, slow.plans)
+        assert fast.degraded == slow.degraded
+        assert np.array_equal(fast.ledger.used, slow.ledger.used)
+
     def test_exact_repeat_prefers_the_fill_memo(self):
         ctrl = AdmissionController(8)
         infos = [self.a, self.b, self.c]
@@ -276,55 +305,6 @@ class TestDeltaFill:
         assert ctrl.fill_cache_hits == 1 and ctrl.delta_hits == 0
         assert _plans_equal(first.plans, second.plans)
         assert second.plans["a"] is first.plans["a"]  # shared, not copied
-
-
-# ------------------------------------------------------------- slack reuse
-class TestSlackReuse:
-    """The slack tier: a retained fill whose usable window kept top-size
-    headroom is availability-independent, so the delta path may reuse it by
-    reference even when capacity ahead of it was perturbed."""
-
-    def setup_method(self):
-        self.grid = SlotGrid(origin=0.0, slot_seconds=1.0, horizon=6)
-
-    def _jobs(self, capacity):
-        return (
-            tokened_job("a", 2.0, 2.0, self.grid, capacity, token=1),
-            tokened_job("b", 6.0, 4.0, self.grid, capacity, token=2),
-            tokened_job("c", 8.0, 6.0, self.grid, capacity, token=3),
-        )
-
-    def test_saturated_window_refills_instead(self):
-        # At capacity 5 the retained fill of `c` has free headroom of only
-        # 5 - 3 = 2 < top size 4, so the slack tier must not fire and the
-        # departure-perturbed suffix refills normally.
-        a, b, c = self._jobs(5)
-        ctrl = AdmissionController(5)
-        ctrl.plan_shares([a, b, c], self.grid, stop_on_failure=False)
-        second = ctrl.plan_shares([a, c], self.grid, stop_on_failure=False)
-        assert ctrl.delta_slack_reuses == 0
-        assert ctrl.delta_reuses == 1 and ctrl.delta_refills == 1
-        cold = AdmissionController(5)._fill([a, c], self.grid,
-                                            stop_on_failure=False)
-        assert _plans_equal(second.plans, cold.plans)
-
-    def test_slack_reuse_survives_the_sequential_solver_check(self):
-        # The batched and sequential delta paths must agree bit for bit on
-        # the same perturbation sequence (slack reuse is batched-only).
-        a, b, c = self._jobs(8)
-        batched = AdmissionController(8)
-        batched.plan_shares([a, b, c], self.grid, stop_on_failure=False)
-        fast = batched.plan_shares([a, c], self.grid, stop_on_failure=False)
-        assert batched.delta_slack_reuses == 1
-        with batched_solver_disabled():
-            sequential = AdmissionController(8)
-            sequential.plan_shares([a, b, c], self.grid,
-                                   stop_on_failure=False)
-            slow = sequential.plan_shares([a, c], self.grid,
-                                          stop_on_failure=False)
-        assert _plans_equal(fast.plans, slow.plans)
-        assert fast.degraded == slow.degraded
-        assert np.array_equal(fast.ledger.used, slow.ledger.used)
 
 
 # --------------------------------------------------------- warm-hint bound

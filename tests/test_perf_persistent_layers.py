@@ -1,13 +1,12 @@
 """Regression coverage for the persistent per-event planning layers.
 
-Three layers replaced the per-event rebuild-everything pattern: the
-persistent planning frame (``scheduler._PlanningFrame``), the vectorized
-sim advance (``engine._ProgressSoA``), and the fused commit runs in
-``admission._fill_batched``.  Each keeps an escape hatch in
-:mod:`repro.perf.tables`; this module proves, per hatch, that engaging it
-changes no scheduling decision — and pins the supporting invariants (the
-slot-grid batch math the frame relies on, the rate-memo eviction, the
-event-scoped row store).
+Two layers replaced the per-event rebuild-everything pattern: the
+persistent planning frame (``scheduler._PlanningFrame``) and the
+vectorized sim advance (``engine._ProgressSoA``).  Each keeps an escape
+hatch in :mod:`repro.perf.tables`; this module proves, per hatch, that
+engaging it changes no scheduling decision — and pins the supporting
+invariants (the slot-grid batch math the frame relies on, the rate-memo
+eviction, the event-scoped row store).
 """
 
 import math
@@ -23,7 +22,6 @@ from repro.core.batch import WarmRowBatch
 from repro.core.scheduler import ElasticFlowPolicy
 from repro.core.slots import SlotGrid
 from repro.perf.tables import (
-    fused_commit_disabled,
     planning_frame_disabled,
     reset_cache,
     sim_vector_disabled,
@@ -140,14 +138,13 @@ def _workload(seed):
 HATCHES = {
     "planning_frame": planning_frame_disabled,
     "sim_vector": sim_vector_disabled,
-    "fused_commit": fused_commit_disabled,
 }
 
 
 class TestEscapeHatchParity:
     """Each persistent layer's escape hatch must be decision-neutral: the
     same seeded trace produces a byte-identical outcome digest with the
-    layer on (default) and off (hatch engaged) — and with all three off."""
+    layer on (default) and off (hatch engaged) — and with both off."""
 
     @pytest.mark.parametrize("hatch", sorted(HATCHES))
     def test_single_hatch_is_decision_neutral(self, hatch):
@@ -164,11 +161,7 @@ class TestEscapeHatchParity:
         specs, cluster, throughput = _workload(seed=13)
         reset_cache()
         _, default = _simulate(specs, cluster, throughput)
-        with (
-            planning_frame_disabled(),
-            sim_vector_disabled(),
-            fused_commit_disabled(),
-        ):
+        with planning_frame_disabled(), sim_vector_disabled():
             _, hatched = _simulate(specs, cluster, throughput)
         assert _digest(default) == _digest(hatched)
 
@@ -249,8 +242,8 @@ class TestEventRowStore:
         baseline = self._infos(grid2, ids, 5.0, 4.0)
         ctrl.plan_shares(baseline, grid2, stop_on_failure=False)
         # Arrival trial at the same event: an earlier-deadline candidate
-        # perturbs the suffix, forcing refills of the non-slack jobs whose
-        # rows the baseline fill just solved.
+        # perturbs the suffix, forcing refills of the jobs whose rows the
+        # baseline fill just solved.
         arrival = replace(
             synthetic_planning_job(
                 "new", 1.5, 3.4, grid2, self.CAPACITY, self.THR
