@@ -22,11 +22,9 @@ from repro.core.operator import OperatorPolicy
 from repro.core.slots import SlotGrid
 from repro.errors import ConfigurationError
 from repro.perf import probe
-from repro.perf.coherence import coherent, invalidates, keyed, mutates
+from repro.perf.coherence import coherent, invalidates, mutates
 from repro.perf.tables import (
     cache_enabled,
-    curve_revision,
-    frame_enabled,
     planning_tables_for,
     tables_global_revision,
 )
@@ -39,12 +37,9 @@ __all__ = ["ElasticFlowPolicy"]
 class _PlanningFrame:
     """Persistent planning views for the whole active set.
 
-    The previous generation rebuilt every ``PlanningJob`` through a
-    per-event LRU: grids re-anchor at each event's ``now``, so every key
-    missed across events and every view paid dataclass construction,
-    per-job padding math, and cache churn — O(active jobs) Python work on
-    every scheduling event.  The frame instead keeps one view per live
-    job and *refreshes* the event-dependent inputs in place with stacked
+    Grids re-anchor at each event's ``now``, so every view's
+    event-dependent inputs change on every event.  The frame keeps one
+    view per live job and *refreshes* those inputs in place with stacked
     array math shared across the set: one vectorized padding pass over
     the raw deadlines, one :meth:`SlotGrid.weights_matrix` build, one
     :meth:`SlotGrid.window_ends` searchsorted — then scalar write-backs
@@ -55,20 +50,18 @@ class _PlanningFrame:
     (token compares per job run only after the counter moved, so the
     steady state never touches the table store at all).
 
-    Refreshed values are bit-identical to the per-job path: the padding
-    expression performs the same IEEE ops elementwise (``inf`` deadlines
-    pass through unchanged because ``min(padding, inf) == padding``),
-    the weight rows and window ends equal ``weights_until``/per-view
-    windows (the slot-grid property tests pin this), and write-backs go
-    through ``.tolist()`` so views keep carrying plain Python floats —
-    the fill fingerprint hashes the identical values either way.
-    ``repro.perf.tables.planning_frame_disabled`` is the escape hatch
-    back to the per-event LRU path.
+    Refreshed values are bit-identical to :func:`planning_job`: the
+    padding expression performs the same IEEE ops elementwise (``inf``
+    deadlines pass through unchanged because ``min(padding, inf) ==
+    padding``), the weight rows and window ends equal
+    ``weights_until``/per-view windows (the slot-grid property tests pin
+    this), and write-backs go through ``.tolist()`` so views keep
+    carrying plain Python floats — the fill fingerprint hashes the
+    identical values either way.
 
     ``min_share_plan`` and ``degraded`` are deliberately *not* reset on
     refresh: every fill path (cold, batched, delta, replay) overwrites
-    both for every participating view before anything reads them, which
-    is exactly the contract the LRU path relied on for cache hits.
+    both for every participating view before anything reads them.
     """
 
     def __init__(self, policy: "ElasticFlowPolicy") -> None:
@@ -153,8 +146,7 @@ class _PlanningFrame:
             view.deadline = deadline_list[i]
             view.weights = weight_rows[i]
             w0 = int(ends[i])
-            # Window from slot 1 drops at most the slot-0 weight (the
-            # same seed the LRU batch path planted at construction).
+            # Window from slot 1 drops at most the slot-0 weight.
             view.__dict__["_windows"] = {0: w0, 1: max(w0 - 1, 0)}
             views.append(view)
 
@@ -176,7 +168,6 @@ class _PlanningFrame:
         return views
 
 
-@keyed(_info_cache="curve_revision")
 class ElasticFlowPolicy(SchedulerPolicy):
     """Deadline-driven serverless scheduling with elastic scaling.
 
@@ -257,15 +248,8 @@ class ElasticFlowPolicy(SchedulerPolicy):
         # LRU-bounded: repeated failure/repair cycles would otherwise
         # accumulate controllers (each pinning its fill memo) forever.
         self._controllers: OrderedDict[int, AdmissionController] = OrderedDict()
-        # Planning views built during one event are rebuilt identically by
-        # the admission pass and the allocation pass (same grid, same
-        # remaining work), so they are memoized under the global cache
-        # switch.  Keys carry the curve revision: an online-profiling
-        # correction invalidates every dependent view.
-        self._info_cache: OrderedDict[tuple, PlanningJob] = OrderedDict()
-        # Persistent structure-of-arrays planning state; replaces the LRU
-        # rebuild path of _infos while repro.perf.tables.frame_enabled
-        # holds (see _PlanningFrame).
+        # Persistent planning views, refreshed in place on every event
+        # (see _PlanningFrame).
         self._frame = _PlanningFrame(self)
 
     # ------------------------------------------------------------ interface
@@ -439,130 +423,24 @@ class ElasticFlowPolicy(SchedulerPolicy):
             )
         return self.context.curve_for(job)
 
-    #: Bound on memoized planning views; LRU-evicted beyond this.
-    INFO_CACHE_LIMIT = 512
-
-    def _info_key(self, job: Job, revision: int, grid: SlotGrid) -> tuple:
-        """Memo key of one planning view (``revision`` is the job curve's
-        ``curve_revision`` — computed by the caller at the write site).
-
-        The grid's *horizon* is deliberately absent: a view's weights run
-        up to its own (padded) deadline, and every grid that includes the
-        job covers that deadline, so all weight-window consumers see
-        identical values on any same-origin/same-width grid.  This lets
-        the admission pass and the same-event allocation pass share one
-        view build even when the candidate's deadline stretched the
-        admission grid's horizon.
-        """
-        spec = job.spec
-        return (
-            job.job_id,
-            job.remaining_iterations,
-            spec.effective_deadline,
-            spec.best_effort,
-            spec.model_name,
-            spec.global_batch_size,
-            revision,
-            grid.origin,
-            grid.slot_seconds,
-            self.context.total_gpus,
-        )
-
     def _infos(self, jobs: list[Job], grid: SlotGrid) -> list[PlanningJob]:
-        """Planning views for every job, missing ones built in one batch.
+        """Planning views for every job, in order.
 
-        Cache hits are served exactly like :meth:`_info`; the misses share
-        a single :meth:`SlotGrid.weights_matrix` build (one vectorized clip
-        over a deadlines-by-slots matrix) instead of one ``weights_until``
-        call per job, and their usable windows come from one
-        ``searchsorted`` (:meth:`SlotGrid.window_ends`) pre-seeded into the
-        per-view window memo.  Every row is bit-identical to the
-        single-job path, so views from either route are interchangeable —
-        including under the fill fingerprint.
-
-        With the planning frame enabled (the default) the whole call is
-        served by :meth:`_PlanningFrame.refresh` instead: persistent
-        views updated in place, no per-event key hashing or LRU churn.
-        The branches below are the frame-disabled fallback and the
-        cache-disabled reference path.
+        With caches on, :meth:`_PlanningFrame.refresh` serves the whole
+        call from the persistent views; the cache-disabled reference
+        builds each view from scratch with :func:`planning_job`.
         """
-        if not cache_enabled():
-            return [self._info(job, grid) for job in jobs]
-        if frame_enabled():
+        if cache_enabled():
             return self._frame.refresh(jobs, grid)
-        views: list[PlanningJob | None] = [None] * len(jobs)
-        misses: list[tuple[int, Job, object, tuple]] = []
-        for idx, job in enumerate(jobs):
-            curve = self._planning_curve(job)
-            key = self._info_key(job, curve_revision(curve), grid)
-            info = self._info_cache.get(key)
-            if info is None:
-                misses.append((idx, job, curve, key))
-            else:
-                self._info_cache.move_to_end(key)
-                views[idx] = info
-        if misses:
-            # Identical scalar padding math to planning_job, batched rows.
-            deadlines = np.empty(len(misses), dtype=np.float64)
-            for row, (_, job, _, _) in enumerate(misses):
-                deadline = job.spec.effective_deadline
-                if not math.isinf(deadline) and self.deadline_padding_s:
-                    padding = min(
-                        self.deadline_padding_s,
-                        0.1 * max(0.0, deadline - grid.origin),
-                    )
-                    deadline = deadline - padding
-                deadlines[row] = deadline
-            weight_rows = grid.weights_matrix(deadlines)
-            ends = grid.window_ends(deadlines)
-            for row, (idx, job, curve, key) in enumerate(misses):
-                tables = planning_tables_for(curve, self.context.total_gpus)
-                info = PlanningJob(
-                    job_id=job.job_id,
-                    remaining_iterations=job.remaining_iterations
-                    * (1.0 + self.safety_margin),
-                    deadline=float(deadlines[row]),
-                    weights=weight_rows[row],
-                    throughput_table=tables.throughput_table,
-                    size_table=tables.size_table,
-                    sizes=tables.sizes,
-                    best_effort=job.spec.best_effort,
-                    tables_token=tables.token,
-                )
-                w0 = int(ends[row])
-                # Window from slot 1 drops at most the slot-0 weight.
-                info.__dict__["_windows"] = {0: w0, 1: max(w0 - 1, 0)}
-                self._info_cache[key] = info
-                views[idx] = info
-            while len(self._info_cache) > self.INFO_CACHE_LIMIT:
-                self._info_cache.popitem(last=False)
-        return views
-
-    def _info(self, job: Job, grid: SlotGrid) -> PlanningJob:
-        curve = self._planning_curve(job)
-        if not cache_enabled():
-            return planning_job(
+        capacity = self.context.total_gpus
+        return [
+            planning_job(
                 job,
-                curve,
+                self._planning_curve(job),
                 grid,
-                self.context.total_gpus,
+                capacity,
                 safety_margin=self.safety_margin,
                 deadline_padding_s=self.deadline_padding_s,
             )
-        key = self._info_key(job, curve_revision(curve), grid)
-        info = self._info_cache.get(key)
-        if info is None:
-            info = planning_job(
-                job,
-                curve,
-                grid,
-                self.context.total_gpus,
-                safety_margin=self.safety_margin,
-                deadline_padding_s=self.deadline_padding_s,
-            )
-            self._info_cache[key] = info
-            while len(self._info_cache) > self.INFO_CACHE_LIMIT:
-                self._info_cache.popitem(last=False)
-        else:
-            self._info_cache.move_to_end(key)
-        return info
+            for job in jobs
+        ]

@@ -35,7 +35,6 @@ from repro.perf.tables import (
     planning_cache_disabled,
     planning_tables_for,
     reset_cache,
-    set_cache_enabled,
 )
 
 __all__ = [
@@ -53,5 +52,4 @@ __all__ = [
     "planning_cache_disabled",
     "planning_tables_for",
     "reset_cache",
-    "set_cache_enabled",
 ]

@@ -5,7 +5,7 @@ allocation, and the end-to-end discrete-event simulation — and writes the
 numbers to ``BENCH_core.json`` so every PR leaves a recorded perf
 trajectory.  The end-to-end benchmark runs the identical workload twice,
 once with the planning caches on and once through the
-:func:`repro.perf.tables.planning_cache_disabled` escape hatch, reporting
+:func:`repro.perf.tables.planning_cache_disabled` reference, reporting
 the speedup *and* verifying that both runs made byte-identical scheduling
 decisions (same admissions, same per-job outcomes).
 
@@ -33,24 +33,21 @@ import argparse
 import cProfile
 import hashlib
 import json
+import os
 import pstats
 import time
-from contextlib import ExitStack
 from typing import Any
 
 import numpy as np
 
 from repro.cluster.topology import ClusterSpec
-from repro.core.admission import planning_job
 from repro.core.scheduler import ElasticFlowPolicy
 from repro.perf import probe
 from repro.perf.tables import (
     batched_solver_disabled,
     cache_stats,
     planning_cache_disabled,
-    planning_frame_disabled,
     reset_cache,
-    sim_vector_disabled,
 )
 from repro.profiles.throughput import ThroughputModel
 from repro.sim.engine import Simulator
@@ -174,8 +171,8 @@ def _digest_sha256(digest: list[tuple]) -> str:
 
     The digest is a sorted list of primitive tuples, so its ``repr`` is
     deterministic; hashing it lets separate benchmark invocations (e.g.
-    the CI escape-hatch parity run vs the default run) assert decision
-    equivalence without carrying the full outcome list around.
+    two scales or two trees) assert decision equivalence without
+    carrying the full outcome list around.
     """
     return hashlib.sha256(repr(digest).encode()).hexdigest()
 
@@ -483,7 +480,6 @@ def run_benchmarks(
     seed: int = 0,
     scale: str | None = None,
     profile: bool = False,
-    disable_new_layers: bool = False,
 ) -> dict[str, Any]:
     """Run the harness at one scale and return the report dictionary.
 
@@ -492,10 +488,6 @@ def run_benchmarks(
     per-call dispatch, which does not change with cluster size).
     ``profile`` runs the cached end-to-end pass under :mod:`cProfile` and
     exports the hotspots under the report's ``profile`` key.
-    ``disable_new_layers`` engages both escape hatches of the
-    persistent-state layers (planning frame, vectorized sim advance)
-    for the whole run — the CI parity gate compares
-    its decision digest against the default run's.
     """
     if scale is None:
         scale = "quick" if quick else "full"
@@ -506,28 +498,23 @@ def run_benchmarks(
         "quick": scale == "quick",
         "scale": scale,
         "seed": seed,
-        "new_layers_disabled": disable_new_layers,
     }
-    with ExitStack() as stack:
-        if disable_new_layers:
-            stack.enter_context(planning_frame_disabled())
-            stack.enter_context(sim_vector_disabled())
-        if scale in ("quick", "full"):
-            report["admission"] = bench_admission(
-                100 if scale == "quick" else 400, seed
-            )
-            report["allocation"] = bench_allocation(
-                params["n_jobs"], 20 if scale == "quick" else 60, seed
-            )
-            report["buddy"] = bench_buddy(seed)
-        end_to_end = bench_end_to_end(
-            params["n_jobs"],
-            seed,
-            cluster_gpus=params["cluster_gpus"],
-            gpu_weights=params["gpu_weights"],
-            reference_mode=params["reference_mode"],
-            profile=profile,
+    if scale in ("quick", "full"):
+        report["admission"] = bench_admission(
+            100 if scale == "quick" else 400, seed
         )
+        report["allocation"] = bench_allocation(
+            params["n_jobs"], 20 if scale == "quick" else 60, seed
+        )
+        report["buddy"] = bench_buddy(seed)
+    end_to_end = bench_end_to_end(
+        params["n_jobs"],
+        seed,
+        cluster_gpus=params["cluster_gpus"],
+        gpu_weights=params["gpu_weights"],
+        reference_mode=params["reference_mode"],
+        profile=profile,
+    )
     if "profile" in end_to_end:
         report["profile"] = end_to_end.pop("profile")
     report["end_to_end"] = end_to_end
@@ -567,14 +554,6 @@ def main(argv: list[str] | None = None) -> int:
         "'profile' key (zero overhead when off)",
     )
     parser.add_argument(
-        "--disable-new-layers",
-        action="store_true",
-        help="engage both persistent-state escape hatches (planning "
-        "frame, vectorized sim advance) — the CI parity "
-        "gate compares this run's decision digest against the default "
-        "run's",
-    )
-    parser.add_argument(
         "--workers",
         default="4",
         help="fan-out width for --suite figures (int or 'auto')",
@@ -586,6 +565,12 @@ def main(argv: list[str] | None = None) -> int:
         help=f"report path (default: {DEFAULT_OUTPUT} or BENCH_parallel.json)",
     )
     args = parser.parse_args(argv)
+    # The report is written after the run; reject an unwritable location
+    # before spending minutes on it.
+    if args.output is not None:
+        parent = os.path.dirname(os.path.abspath(args.output))
+        if not os.path.isdir(parent):
+            parser.error(f"output directory does not exist: {parent}")
     if args.suite == "figures":
         from repro.perf.figures import DEFAULT_OUTPUT as FIGURES_OUTPUT
         from repro.perf.figures import run_figure_suite
@@ -612,7 +597,6 @@ def main(argv: list[str] | None = None) -> int:
         seed=args.seed,
         scale=args.scale,
         profile=args.profile,
-        disable_new_layers=args.disable_new_layers,
     )
     output = args.output or DEFAULT_OUTPUT
     with open(output, "w") as handle:

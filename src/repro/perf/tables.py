@@ -18,7 +18,7 @@ Contract (see ``docs/performance.md``):
   memoisation (the admission baseline cache) fingerprints jobs by this
   token, so a rebuilt table automatically invalidates every dependent
   cached plan.
-- :func:`planning_cache_disabled` is the correctness escape hatch: inside
+- :func:`planning_cache_disabled` is the paper-literal reference: inside
   the context every lookup recomputes from the curve, bypassing and not
   populating the store.  Scheduling decisions must be identical either way
   (enforced by ``tests/test_perf_equivalence.py``).
@@ -45,17 +45,9 @@ __all__ = [
     "invalidate_planning_tables",
     "curve_revision",
     "cache_enabled",
-    "set_cache_enabled",
     "planning_cache_disabled",
     "batching_enabled",
-    "set_batching_enabled",
     "batched_solver_disabled",
-    "frame_enabled",
-    "set_frame_enabled",
-    "planning_frame_disabled",
-    "sim_vector_enabled",
-    "set_sim_vector_enabled",
-    "sim_vector_disabled",
     "tables_global_revision",
     "cache_stats",
     "ladder_consts",
@@ -92,8 +84,6 @@ _store: "WeakKeyDictionary[object, dict[int, PlanningTables]]" = WeakKeyDictiona
 _revisions: "WeakKeyDictionary[object, int]" = WeakKeyDictionary()
 _enabled: bool = True
 _batching: bool = True
-_frame: bool = True
-_sim_vector: bool = True
 _global_revision: int = 0
 _stats = {
     "hits": 0,
@@ -268,26 +258,19 @@ def cache_enabled() -> bool:
     return _enabled
 
 
-def set_cache_enabled(enabled: bool) -> bool:
-    """Flip the global cache switch; returns the previous setting."""
-    global _enabled
-    previous = _enabled
-    _enabled = bool(enabled)
-    return previous
-
-
 @contextmanager
 def planning_cache_disabled():
     """Context manager: recompute everything from the curves, no memo.
 
-    This is the escape hatch the decision-equivalence tests (and any
-    debugging session that suspects a stale cache) run under.
+    This is the paper-literal reference the decision-equivalence tests
+    (and any debugging session that suspects a stale cache) run under.
     """
-    previous = set_cache_enabled(False)
+    global _enabled
+    previous, _enabled = _enabled, False
     try:
         yield
     finally:
-        set_cache_enabled(previous)
+        _enabled = previous
 
 
 def batching_enabled() -> bool:
@@ -300,17 +283,9 @@ def batching_enabled() -> bool:
     benchmarks compare against (running the fully uncached reference at
     16k GPUs is intractable).
     Call sites must still gate on :func:`cache_enabled` first — the
-    cache-disabled escape hatch always routes to the reference scan.
+    cache-disabled reference always routes to the reference scan.
     """
     return _batching
-
-
-def set_batching_enabled(enabled: bool) -> bool:
-    """Flip the batched-solver switch; returns the previous setting."""
-    global _batching
-    previous = _batching
-    _batching = bool(enabled)
-    return previous
 
 
 @contextmanager
@@ -320,74 +295,12 @@ def batched_solver_disabled():
     The mid/xl-scale decision-digest checks run under this to compare the
     batched commit walk against the sequential fill it replaced.
     """
-    previous = set_batching_enabled(False)
+    global _batching
+    previous, _batching = _batching, False
     try:
         yield
     finally:
-        set_batching_enabled(previous)
-
-
-def frame_enabled() -> bool:
-    """Whether the persistent planning frame (``scheduler._PlanningFrame``)
-    is on.
-
-    The frame keeps the whole active set's planning views as stacked
-    arrays updated in place across events; turning it off restores the
-    per-event LRU rebuild path of the previous generation.  Call sites
-    must still gate on :func:`cache_enabled` first.
-    """
-    return _frame
-
-
-def set_frame_enabled(enabled: bool) -> bool:
-    """Flip the planning-frame switch; returns the previous setting."""
-    global _frame
-    previous = _frame
-    _frame = bool(enabled)
-    return previous
-
-
-@contextmanager
-def planning_frame_disabled():
-    """Context manager: rebuild planning views per event (no frame).
-
-    The escape-hatch parity tests run the identical workload under this
-    and assert decision-digest equivalence against the frame path.
-    """
-    previous = set_frame_enabled(False)
-    try:
-        yield
-    finally:
-        set_frame_enabled(previous)
-
-
-def sim_vector_enabled() -> bool:
-    """Whether the simulator's vectorized SoA progress advance is on.
-
-    When off (or whenever the SoA preconditions fail — cache disabled, an
-    observation hook installed, or a curve revision moved), the simulator
-    falls back to the scalar per-job ``Job.advance`` loop.
-    """
-    return _sim_vector
-
-
-def set_sim_vector_enabled(enabled: bool) -> bool:
-    """Flip the vectorized-sim-progress switch; returns the previous
-    setting."""
-    global _sim_vector
-    previous = _sim_vector
-    _sim_vector = bool(enabled)
-    return previous
-
-
-@contextmanager
-def sim_vector_disabled():
-    """Context manager: advance job progress with the scalar per-job loop."""
-    previous = set_sim_vector_enabled(False)
-    try:
-        yield
-    finally:
-        set_sim_vector_enabled(previous)
+        _batching = previous
 
 
 def cache_stats() -> dict[str, int]:

@@ -27,7 +27,6 @@ from repro.perf.coherence import coherent, invalidates, keyed, mutates
 from repro.perf.tables import (
     cache_enabled,
     curve_revision,
-    sim_vector_enabled,
     tables_global_revision,
 )
 from repro.profiles.throughput import Placement, ThroughputModel
@@ -207,7 +206,7 @@ class Simulator:
         self._rate_memo: dict[str, dict[tuple[int, int, int], float]] = {}
         # Stacked progress arrays for the running set, rebuilt by
         # _rebuild_soa at every reallocation; None whenever the vector
-        # advance path is unavailable (hatch off, observation hook
+        # advance path is unavailable (caches off, observation hook
         # installed, or no running jobs).
         self._soa: _ProgressSoA | None = None
         self.timeline = Timeline() if record_timeline else None
@@ -450,7 +449,6 @@ class Simulator:
             soa = self._soa
             if (
                 soa is not None
-                and sim_vector_enabled()
                 and cache_enabled()
                 and self.observation_hook is None
                 and soa.revision == tables_global_revision()
@@ -630,16 +628,11 @@ class Simulator:
         This is the single mutation point for ``_soa``: reallocation calls
         it with the fresh running set, the empty-active path and the scalar
         advance fallback call it with no rows to drop a stale frame.  The
-        frame is withheld entirely when the vector hatch is off or an
-        observation hook needs per-job callbacks, so those runs never pay
-        the array gather.
+        frame is withheld entirely when caches are off (the reference
+        run) or an observation hook needs per-job callbacks, so those runs
+        never pay the array gather.
         """
-        if (
-            not jobs
-            or self.observation_hook is not None
-            or not sim_vector_enabled()
-            or not cache_enabled()
-        ):
+        if not jobs or self.observation_hook is not None or not cache_enabled():
             self._soa = None
             return
         self._soa = _ProgressSoA(jobs, rates, tables_global_revision())

@@ -59,6 +59,20 @@ def test_main_writes_report(tmp_path, tiny_bench, capsys):
     assert "buddy" in printed
 
 
+@pytest.mark.parametrize("suite", ["core", "figures"])
+def test_missing_output_dir_fails_before_running(tmp_path, monkeypatch, suite):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("benchmark ran despite an unwritable -o path")
+
+    monkeypatch.setattr(bench, "run_benchmarks", must_not_run)
+    monkeypatch.setattr("repro.perf.figures.run_figure_suite", must_not_run)
+    missing = tmp_path / "missing" / "x.json"
+    with pytest.raises(SystemExit) as excinfo:
+        bench.main(["--quick", "--suite", suite, "-o", str(missing)])
+    assert excinfo.value.code == 2
+    assert not missing.parent.exists()
+
+
 def test_bench_buddy_is_deterministic():
     first = bench.bench_buddy(3, ops=2000)
     second = bench.bench_buddy(3, ops=2000)

@@ -324,10 +324,11 @@ def _digest(result):
     )
 
 
-@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("seed", [3, 7, 11, 13])
 def test_trace_decisions_identical_with_and_without_cache(seed):
     """A seeded trace must produce byte-identical scheduling outcomes with
-    every memo enabled and under the cache-disabled escape hatch."""
+    every production layer on (memos, planning frame, vectorized sim
+    advance) and under the cache-disabled reference."""
     config = ClusterTraceConfig(
         "equivalence",
         64,

@@ -16,7 +16,11 @@ import pytest
 
 from repro.cluster import ClusterSpec
 from repro.core import ElasticFlowPolicy, JobSpec
-from repro.core.admission import AdmissionController, progressive_filling
+from repro.core.admission import (
+    AdmissionController,
+    planning_job,
+    progressive_filling,
+)
 from repro.core.job import Job
 from repro.core.plan import Ledger
 from repro.core.slots import SlotGrid
@@ -24,6 +28,7 @@ from repro.perf import probe
 from repro.perf.tables import (
     batched_solver_disabled,
     cache_stats,
+    invalidate_planning_tables,
     planning_cache_disabled,
     reset_cache,
 )
@@ -418,23 +423,73 @@ class TestLedgerLoadPlans:
 
 
 # ---------------------------------------------------------- planning views
-class TestPlanningViewSharing:
-    def test_same_origin_grids_share_one_view(self):
-        """The admission grid may be longer than the allocation grid (the
-        candidate's deadline stretches it); both passes must still share
-        one memoized view per job."""
-        policy = _bound_policy()
-        job = _runtime_jobs(1)[0]
-        short = SlotGrid(origin=0.0, slot_seconds=600.0, horizon=12)
-        long = SlotGrid(origin=0.0, slot_seconds=600.0, horizon=24)
-        assert policy._info(job, short) is policy._info(job, long)
+class TestPlanningFrameViews:
+    """Views served by ``_PlanningFrame.refresh`` must equal fresh
+    ``planning_job`` builds field by field, including the usable-window
+    seeds the frame plants instead of scanning the weights."""
 
-    def test_different_origin_builds_a_fresh_view(self):
-        policy = _bound_policy()
-        job = _runtime_jobs(1)[0]
-        grid_a = SlotGrid(origin=0.0, slot_seconds=600.0, horizon=12)
-        grid_b = SlotGrid(origin=600.0, slot_seconds=600.0, horizon=12)
-        assert policy._info(job, grid_a) is not policy._info(job, grid_b)
+    def _jobs(self):
+        jobs = _runtime_jobs(3)
+        jobs[1].iterations_done = 123.456
+        best_effort = JobSpec(
+            job_id="be",
+            model_name="bert",
+            global_batch_size=64,
+            max_iterations=5000,
+            submit_time=0.0,
+        )
+        return jobs + [Job(spec=best_effort)]
+
+    def assert_views_match(self, policy, jobs, grid):
+        views = policy._frame.refresh(jobs, grid)
+        assert [view.job_id for view in views] == [job.job_id for job in jobs]
+        for job, view in zip(jobs, views):
+            fresh = planning_job(
+                job,
+                policy._planning_curve(job),
+                grid,
+                policy.context.total_gpus,
+                safety_margin=policy.safety_margin,
+                deadline_padding_s=policy.deadline_padding_s,
+            )
+            assert view.remaining_iterations == fresh.remaining_iterations
+            assert type(view.remaining_iterations) is float
+            assert view.deadline == fresh.deadline
+            assert type(view.deadline) is float
+            assert view.weights.dtype == fresh.weights.dtype
+            assert view.weights.tobytes() == fresh.weights.tobytes()
+            assert view.window(0) == fresh.window(0)
+            assert view.window(1) == fresh.window(1)
+            assert view.tables_token == fresh.tables_token
+            assert view.best_effort == fresh.best_effort
+        return views
+
+    def test_refresh_matches_fresh_views_across_origins(self):
+        reset_cache()
+        policy = _bound_policy(safety_margin=0.03, deadline_padding_s=60.0)
+        jobs = self._jobs()
+        first = self.assert_views_match(policy, jobs, policy._grid(0.0, jobs))
+        assert first[-1].best_effort and first[-1].deadline == float("inf")
+        # At t=3300 j0's padding is the proportional 0.1 * 300 s, not the
+        # 60 s cap, and every view is refreshed in place, not rebuilt.
+        jobs[0].iterations_done = 77.5
+        second = self.assert_views_match(policy, jobs, policy._grid(3300.0, jobs))
+        assert second[0].deadline == 3600.0 - 30.0
+        assert all(a is b for a, b in zip(first, second))
+
+    def test_refresh_after_invalidation_rebuilds_views(self):
+        reset_cache()
+        policy = _bound_policy(safety_margin=0.03, deadline_padding_s=60.0)
+        jobs = self._jobs()
+        first = self.assert_views_match(policy, jobs, policy._grid(0.0, jobs))
+        invalidate_planning_tables(policy._planning_curve(jobs[0]))
+        second = self.assert_views_match(policy, jobs, policy._grid(600.0, jobs))
+        # The three resnet50 views share the invalidated curve and carry
+        # the rebuilt tables; the bert view keeps its table identity.
+        for before, after in zip(first[:3], second[:3]):
+            assert after is not before
+            assert after.tables_token != before.tables_token
+        assert second[3] is first[3]
 
 
 # ------------------------------------------------------------- phase probe

@@ -2,9 +2,9 @@
 
 Two layers replaced the per-event rebuild-everything pattern: the
 persistent planning frame (``scheduler._PlanningFrame``) and the
-vectorized sim advance (``engine._ProgressSoA``).  Each keeps an escape
-hatch in :mod:`repro.perf.tables`; this module proves, per hatch, that
-engaging it changes no scheduling decision — and pins the supporting
+vectorized sim advance (``engine._ProgressSoA``).  Their decision parity
+against the cache-disabled reference is asserted end to end in
+``tests/test_perf_equivalence.py``; this module pins the supporting
 invariants (the slot-grid batch math the frame relies on, the rate-memo
 eviction, the event-scoped row store).
 """
@@ -13,7 +13,6 @@ import math
 from dataclasses import replace
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,11 +20,7 @@ from repro.cluster.topology import ClusterSpec
 from repro.core.batch import WarmRowBatch
 from repro.core.scheduler import ElasticFlowPolicy
 from repro.core.slots import SlotGrid
-from repro.perf.tables import (
-    planning_frame_disabled,
-    reset_cache,
-    sim_vector_disabled,
-)
+from repro.perf.tables import reset_cache
 from repro.profiles import ThroughputModel
 from repro.sim.engine import Simulator
 from repro.traces.synthetic import ClusterTraceConfig, generate_trace
@@ -91,8 +86,8 @@ class TestSlotGridBatchEquivalence:
             )
 
 
-# --------------------------------------------------------- escape-hatch parity
-def _simulate(specs, cluster, throughput, *, record_timeline=False):
+# ------------------------------------------------------------- workload
+def _simulate(specs, cluster, throughput):
     sim = Simulator(
         cluster,
         ElasticFlowPolicy(
@@ -101,22 +96,9 @@ def _simulate(specs, cluster, throughput, *, record_timeline=False):
         specs,
         throughput=throughput,
         slot_seconds=600.0,
-        record_timeline=record_timeline,
+        record_timeline=False,
     )
     return sim, sim.run()
-
-
-def _digest(result):
-    return sorted(
-        (
-            o.job_id,
-            o.status.value,
-            o.admitted,
-            o.completion_time,
-            o.scale_events,
-        )
-        for o in result.outcomes
-    )
 
 
 def _workload(seed):
@@ -133,37 +115,6 @@ def _workload(seed):
     specs = build_jobs(trace, throughput, seed=seed)
     cluster = ClusterSpec(n_nodes=8, gpus_per_node=8)
     return specs, cluster, throughput
-
-
-HATCHES = {
-    "planning_frame": planning_frame_disabled,
-    "sim_vector": sim_vector_disabled,
-}
-
-
-class TestEscapeHatchParity:
-    """Each persistent layer's escape hatch must be decision-neutral: the
-    same seeded trace produces a byte-identical outcome digest with the
-    layer on (default) and off (hatch engaged) — and with both off."""
-
-    @pytest.mark.parametrize("hatch", sorted(HATCHES))
-    def test_single_hatch_is_decision_neutral(self, hatch):
-        specs, cluster, throughput = _workload(seed=7)
-        reset_cache()
-        _, default = _simulate(specs, cluster, throughput)
-        with HATCHES[hatch]():
-            _, hatched = _simulate(specs, cluster, throughput)
-        assert _digest(default) == _digest(hatched), (
-            f"{hatch} escape hatch changed scheduling decisions"
-        )
-
-    def test_all_hatches_together_are_decision_neutral(self):
-        specs, cluster, throughput = _workload(seed=13)
-        reset_cache()
-        _, default = _simulate(specs, cluster, throughput)
-        with planning_frame_disabled(), sim_vector_disabled():
-            _, hatched = _simulate(specs, cluster, throughput)
-        assert _digest(default) == _digest(hatched)
 
 
 # ------------------------------------------------------------ rate-memo leak
