@@ -557,7 +557,7 @@ class CallGraph:
         if isinstance(func, ast.Attribute):
             method = func.attr
             receiver = func.value
-            # Module-qualified call: ``np.zeros``, ``tables.ladder_consts``.
+            # Module-qualified call: ``np.zeros``, ``tables.cache_enabled``.
             if isinstance(receiver, ast.Name):
                 target = bindings.get(receiver.id)
                 if target is not None and receiver.id not in locally_bound:

@@ -39,7 +39,7 @@ _MUTATING_METHODS = {
 _FROZEN = "frozen"
 
 #: The ``@coherent`` dependency name for advisory state that is re-checked
-#: against ground truth at every point of use (e.g. warm-start cap hints):
+#: against ground truth at every point of use (e.g. a store of cap hints):
 #: stale entries cost time, never correctness, so declared mutators carry
 #: no invalidation obligation.  CC002 still requires the ``@mutates``
 #: declaration — the *intent* to mutate stays explicit.  The declaration

@@ -168,10 +168,10 @@ def _discharges(
 class SharedPlanAliasMutationRule(_StagedRule):
     """IP002: arrays shared by reference must stay frozen — on every alias.
 
-    ``Ledger.set_plan(..., trusted=True)``, ``Ledger.load_plans`` and
-    ``WarmRowBatch.hint_row`` hand out (or take in) arrays *by
-    reference*: the caller's local name, every view over it, and every
-    callee it escapes to all address the adopted buffer.  Digest checks
+    ``Ledger.set_plan(..., trusted=True)`` and ``Ledger.load_plans``
+    take in arrays *by reference*: the caller's local name, every view
+    over it, and every callee it escapes to all address the adopted
+    buffer.  Digest checks
     cannot catch a write through such an alias — the ledger version
     never ticks.  This rule tracks each share site's alias set (views,
     slices, plain rebinding) through the function body and flags any
@@ -206,18 +206,6 @@ class SharedPlanAliasMutationRule(_StagedRule):
                         if isinstance(arg, ast.Name)
                     )
                     self._check_freeze_contract(program, graph, site)
-            for sub in walk_scope(info.node):
-                if (
-                    isinstance(sub, ast.Assign)
-                    and len(sub.targets) == 1
-                    and isinstance(sub.targets[0], ast.Name)
-                    and isinstance(sub.value, ast.Call)
-                    and isinstance(sub.value.func, ast.Attribute)
-                    and sub.value.func.attr == "hint_row"
-                ):
-                    shares.append(
-                        (sub.targets[0].id, sub.lineno, "hint_row(...)")
-                    )
             for name, line, label in shares:
                 self._check_share(
                     program, graph, effects, info, name, line, label

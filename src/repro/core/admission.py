@@ -13,13 +13,13 @@ admitted job (including the newcomer) can still be satisfied.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.batch import WarmRowBatch
 from repro.core.job import Job
 from repro.core.plan import Ledger
 from repro.core.slots import SlotGrid
@@ -30,9 +30,6 @@ from repro.perf import probe
 from repro.perf.tables import (
     batching_enabled,
     cache_enabled,
-    ladder_consts,
-    note_batched_walk,
-    note_warm_fill,
     planning_tables_for,
     tables_global_revision,
 )
@@ -42,11 +39,15 @@ __all__ = [
     "PlanningJob",
     "planning_job",
     "progressive_filling",
+    "ladder_rows",
     "AdmissionResult",
     "AdmissionController",
 ]
 
 _EPS = EPS  # the shared numeric tolerance (repro.numeric)
+
+#: ``(stop, caps, totals, rows)`` of one job; see :func:`ladder_rows`.
+LadderTable = tuple[int, tuple[int, ...], list[float], np.ndarray]
 
 
 @coherent(
@@ -232,7 +233,6 @@ def progressive_filling(
     *,
     start_slot: int = 0,
     head: np.ndarray | None = None,
-    warm_hints: dict[tuple[str, int], int] | None = None,
 ) -> np.ndarray | None:
     """Compute the minimum satisfactory share of one job (Algorithm 1 inner loop).
 
@@ -244,30 +244,16 @@ def progressive_filling(
 
     Two implementations share this contract: a straightforward reference
     scan that rebuilds the per-slot contribution cap by cap in a Python
-    loop, and a fast path that evaluates every ``(cap, slot)`` pair in one
+    loop, and a 2-D scan that evaluates every ``(cap, slot)`` pair in one
     vectorized pass over the job's usable window.  Both select the first
     cap whose sequential cumulative progress covers the requirement — the
-    fast path's row-wise ``cumsum`` performs the identical additions in
+    2-D scan's row-wise ``cumsum`` performs the identical additions in
     the identical order — so both produce bit-identical plans;
     :func:`repro.perf.tables.planning_cache_disabled` switches to the
     reference scan (this is what the equivalence regression and the
-    benchmark's decision digest verify end to end).
-
-    ``warm_hints`` adds a third, still bit-identical route: the dict maps
-    ``(job_id, start_slot)`` to the cap the previous fill of this job
-    selected.  Consecutive fills overwhelmingly pick the same cap, so the
-    fast path first *verifies* the hinted cap with two O(window) row
-    evaluations — the hinted row must be feasible and the next-lower cap
-    infeasible — and only falls back to the full 2-D scan when the
-    verification fails.  Minimality of the verified row follows from
-    monotonicity: per-slot takes ``min(cap, available)`` are non-decreasing
-    in the cap and the tables are monotone, so row feasibility is monotone
-    in the cap and "feasible here, infeasible one below" pins the exact row
-    ``argmax`` would have picked.  The verified row's plan is emitted by
-    the same code as the scanned row's, from the same sequential cumulative
-    sums, so the plan is bit-identical either way.  The dict is updated in
-    place with the cap actually chosen (hints are advisory state — see the
-    ``verified`` coherence class in :mod:`repro.perf.coherence`).
+    benchmark's decision digest verify end to end).  Callers that can
+    prove a fill unclamped skip this function and read the plan off
+    :func:`ladder_rows` instead.
 
     Args:
         info: Planning view of the job.
@@ -276,9 +262,6 @@ def progressive_filling(
             tails with ``start_slot=1``).
         head: Fixed allocations for slots before ``start_slot``; their
             progress counts toward the requirement.
-        warm_hints: Previous cap choices keyed by ``(job_id, start_slot)``;
-            mutated in place.  Ignored (left untouched) on the
-            cache-disabled reference path.
 
     Returns:
         A full-horizon plan, or ``None`` when no cap satisfies the deadline.
@@ -309,12 +292,8 @@ def progressive_filling(
     required = info.remaining_iterations - base_progress
     if required <= _EPS:
         return plan
-
-    sizes = info.sizes
-    if not sizes:
+    if not info.sizes:
         return None
-    throughput_table = info.throughput_table
-    size_table = info.size_table
 
     # Everything the fill decides depends only on capacity inside the
     # *usable window* — the slots up to the last nonzero weight.  Later
@@ -332,37 +311,18 @@ def progressive_filling(
     tail_available = np.maximum(available[start_slot : start_slot + usable], 0)
     threshold = required - _EPS
 
-    hint_key = None
-    if warm_hints is not None:
-        hint_key = (info.job_id, start_slot)
-        warm = _verify_warm_row(
-            info, warm_hints.get(hint_key), tail_available, tail_weights, threshold
-        )
-        note_warm_fill(warm is not None)
-        if warm is not None:
-            x, progress = warm
-            return _emit_plan(
-                info, plan, x, progress, required, threshold, tail_weights, start_slot
-            )
-
     # Evaluate every (cap, slot) pair in one vectorized pass: row `i` of
     # `progress` is exactly the cumulative-progress array the reference
     # scan builds for cap `sizes[i]` (cumsum along an axis performs the
     # same additions in the same sequential order), so selecting the first
     # feasible row reproduces the reference's cap choice, completion slot,
     # and plan bit for bit — without a Python-level loop over caps.
-    x2d = size_table[np.minimum.outer(info.sizes_array(), tail_available)]
-    progress2d = np.cumsum(throughput_table[x2d] * tail_weights, axis=1)
+    x2d = info.size_table[np.minimum.outer(info.sizes_array(), tail_available)]
+    progress2d = np.cumsum(info.throughput_table[x2d] * tail_weights, axis=1)
     feasible = progress2d[:, -1] >= threshold
     if not feasible.any():
-        if hint_key is not None:
-            # A hint for an infeasible fill can never verify; drop it so
-            # repeated failures skip the two wasted row evaluations.
-            warm_hints.pop(hint_key, None)
         return None
     row = int(np.argmax(feasible))
-    if hint_key is not None:
-        warm_hints[hint_key] = sizes[row]
     return _emit_plan(
         info,
         plan,
@@ -375,58 +335,41 @@ def progressive_filling(
     )
 
 
-def _verify_warm_row(
-    info: PlanningJob,
-    cap: int | None,
-    tail_available: np.ndarray,
-    tail_weights: np.ndarray,
-    threshold: float,
-) -> tuple[np.ndarray | int, np.ndarray] | None:
-    """Check a hinted cap in O(window); returns its ``(x, progress)`` row.
+def ladder_rows(info: PlanningJob, start: int) -> LadderTable:
+    """Every distinct unclamped fill of a job from ``start``.
 
-    The hint verifies when its row is feasible and the next-lower cap's row
-    is not — by cap-monotonicity of per-slot progress that makes it exactly
-    the first feasible row of the full scan.  Feasibility totals come from
-    the *sequential* cumulative sum (never ``np.sum``, whose pairwise
-    reduction could round a boundary comparison the other way), so the
-    accept/reject decision matches the 2-D scan bit for bit.
+    Returns ``(stop, caps, totals, rows)`` over the usable window
+    ``[start, stop)``: ``rows[i]`` is ``cumsum(T[S[caps[i]]] *
+    weights[start:stop])``, the progress of a fill taking ``caps[i]`` in
+    every slot, and ``totals[i]`` its last entry.
+
+    **Lemma.**  Let ``c*`` be the first cap whose row reaches ``required -
+    EPS``; totals are non-decreasing in the cap, so ``c*`` is
+    ``bisect_left(totals, required - EPS)``.  If every usable slot has
+    ``c*`` GPUs free, every row up to ``c*`` is unclamped, so
+    :func:`progressive_filling` emits ``_emit_plan`` of ``c*``'s row; no
+    feasible row means no feasible clamped fill either.  Caps with the
+    same runnable size ``S[c]`` have identical rows, and the scan and the
+    bisect both pick the first, so only the first of each run is kept.
+    The rows are bit-identical to the scan's and frozen, because one
+    table serves many fills by reference (``docs/performance.md``, "One
+    ladder table").
     """
-    if cap is None:
-        return None
-    consts = ladder_consts(
-        info.tables_token,
-        cap,
-        info.sizes,
-        info.sizes_array(),
-        info.size_table,
-        info.throughput_table,
-    )
-    if consts is None:
-        return None  # stale hint from a different table build
-    s_cap, thr_hint, below, thr_below = consts
-    if batching_enabled() and int(tail_available.min()) >= cap:
-        # Unclamped window: every per-slot take is exactly ``cap``, so both
-        # rows are constant-throughput rows — the same scalar multiplied
-        # into the same weights, summed by the same sequential cumsum as
-        # the general expressions below, minus the clamp and two table
-        # gathers per row.
-        progress = np.cumsum(thr_hint * tail_weights)
-        if progress[-1] < threshold:
-            return None
-        if below:
-            if np.cumsum(thr_below * tail_weights)[-1] >= threshold:
-                return None
-        return s_cap, progress
-    x = info.size_table[np.minimum(cap, tail_available)]
-    progress = np.cumsum(info.throughput_table[x] * tail_weights)
-    if progress[-1] < threshold:
-        return None
-    if below:
-        x_below = info.size_table[np.minimum(below, tail_available)]
-        total_below = np.cumsum(info.throughput_table[x_below] * tail_weights)[-1]
-        if total_below >= threshold:
-            return None  # a smaller cap suffices: the hint is not minimal
-    return x, progress
+    stop = start + info.window(start)
+    if stop == start or not info.sizes:
+        return stop, (), [], np.empty((0, 0))
+    # The distinct ladder is a function of the frozen tables: once per view.
+    ladder = info.__dict__.get("_ladder")
+    if ladder is None:
+        sizes = info.sizes_array()
+        runnable = info.size_table[sizes]
+        first = np.flatnonzero(np.diff(runnable, prepend=-1))
+        thr = info.throughput_table[runnable[first]][:, None]
+        ladder = info.__dict__["_ladder"] = (tuple(sizes[first].tolist()), thr)
+    caps, thr = ladder
+    rows = np.cumsum(thr * info.weights[start:stop], axis=1)
+    rows.flags.writeable = False
+    return stop, caps, rows[:, -1].tolist(), rows
 
 
 def _emit_plan(
@@ -439,7 +382,7 @@ def _emit_plan(
     tail_weights: np.ndarray,
     start_slot: int,
 ) -> np.ndarray:
-    """Write the selected cap's row into ``plan`` (shared by scan and warm paths).
+    """Write the selected cap's row into ``plan`` (shared by scan and ladder paths).
 
     ``x`` may be a scalar: an unclamped fill takes the same size in every
     slot, so the constant stands in for the per-slot row (the broadcast
@@ -559,7 +502,6 @@ class _RetainedFill:
 
 
 @keyed(_fill_cache="_fingerprint", _retained="_fingerprint")
-@coherent(_warm_hints="verified")
 class AdmissionController:
     """Algorithm 1: deadline-ordered progressive filling over all jobs.
 
@@ -574,14 +516,13 @@ class AdmissionController:
     :func:`repro.perf.tables.planning_cache_disabled` is active or when any
     job carries a hand-built table (token ``-1``).
 
-    Memo misses run the batched commit walk (:meth:`_walk`), which
-    reuses plans from ``_retained`` — the previous soft fill, same
-    ``_fingerprint`` key discipline — when the next fill runs on the same
-    grid.  ``_warm_hints`` remembers the cap each ``(job_id, start_slot)``
-    fill chose last time, letting :func:`progressive_filling` verify
-    instead of scan (``verified`` coherence: every hint is re-checked at
-    use, so staleness costs time, never correctness);
-    :meth:`prune_warm_hints` bounds the dict on long traces.
+    Memo misses run the commit walk (:meth:`_walk`), which reuses plans
+    from ``_retained`` — the previous soft fill, same ``_fingerprint``
+    key discipline — when the next fill runs on the same grid, and
+    fast-accepts unclamped fills from each job's :func:`ladder_rows`
+    table.  ``_ladders`` holds those tables for one scheduling event,
+    keyed ``(job_id, tables_token)``: it resets whenever the grid or the
+    planning-table revision moves, and a lookup re-checks the window.
 
     Args:
         capacity: Number of GPUs in the cluster.
@@ -596,11 +537,7 @@ class AdmissionController:
         self.capacity = capacity
         self._fill_cache: OrderedDict[tuple, tuple] = OrderedDict()
         self._retained: _RetainedFill | None = None
-        self._warm_hints: dict[tuple[str, int], int] = {}
-        # Event-scoped row store keyed (job, cap, tables token); see
-        # :meth:`_event_batch_for`.  Lookups re-check the window length.
-        self._event_batch: WarmRowBatch | None = None
-        self._event_rows: dict[tuple[str, int, int], tuple[int, int, int]] = {}
+        self._ladders: dict[tuple[str, int], LadderTable] = {}
         self._event_key: tuple[float, float, int, int] | None = None
         self.fill_cache_hits = 0
         self.fill_cache_misses = 0
@@ -608,51 +545,6 @@ class AdmissionController:
         self.delta_reuses = 0
         self.delta_refills = 0
         self.delta_fast_accepts = 0
-
-    @property
-    def warm_hints(self) -> dict[tuple[str, int], int]:
-        """The advisory cap-hint store, shared with Algorithm 2's refills."""
-        return self._warm_hints
-
-    def _event_batch_for(self, grid: SlotGrid) -> WarmRowBatch:
-        """The event-scoped row batch, reset when the grid or tables move.
-
-        Within one scheduling event the grid origin and the planning-table
-        revision are fixed, so a job's constant-throughput rows — functions
-        of (usable-window weights, hinted cap's ladder constants) only —
-        are identical across the admission baseline, the trial delta and
-        the allocation fill.  Sharing one append-only
-        :class:`~repro.core.batch.WarmRowBatch` across those fills solves
-        each row once per event instead of once per fill.
-        """
-        key = (
-            grid.origin,
-            grid.slot_seconds,
-            grid.horizon,
-            tables_global_revision(),
-        )
-        batch = self._event_batch
-        if self._event_key != key or batch is None:
-            batch = WarmRowBatch()
-            self._event_key = key
-            self._event_batch = batch
-            self._event_rows = {}
-        return batch
-
-    @mutates("_warm_hints")
-    def prune_warm_hints(self, live_ids: set[str]) -> int:
-        """Evict cap hints of jobs no longer in the queue; returns the count.
-
-        Hints are advisory (``verified`` coherence: every entry is
-        re-checked against ground truth at use), so eviction can never
-        change a decision — this only bounds the dict on long traces,
-        where completed and rejected jobs would otherwise leave their
-        ``(job_id, start_slot)`` entries behind forever.
-        """
-        stale = [key for key in self._warm_hints if key[0] not in live_ids]
-        for key in stale:
-            del self._warm_hints[key]
-        return len(stale)
 
     # ------------------------------------------------------------- caching
     def _fingerprint(
@@ -832,17 +724,7 @@ class AdmissionController:
 
         A cold fill is a delta fill with nothing retained — every job is
         an arrival — so one walk serves both (bit-identical to
-        :meth:`_fill_sequential` either way).
-
-        Phase 1 packs every warm-hinted SLO job's usable-window weights
-        into the event-scoped :class:`repro.core.batch.WarmRowBatch`
-        (:meth:`_event_batch_for`) and evaluates all hinted-cap and
-        next-lower-cap cumulative-progress rows in a few bucketed matrix
-        passes.  These rows are pure view functions, valid however earlier
-        jobs' plans land, so later fills of the same event find them
-        already solved.
-
-        Phase 2 walks the deadline order.  For each SLO job:
+        :meth:`_fill_sequential` either way).  For each SLO job:
 
         1. With a retained fill, reuse the job's plan by reference when
            its view is unchanged and its usable window ends at or before
@@ -853,54 +735,25 @@ class AdmissionController:
            lowers ``lo`` only to the first slot where its plan differs from
            the old one, so a refill that reproduces its plan perturbs
            nothing.
-        2. Otherwise, when the minimum free capacity across the window
-           still covers the hinted cap (the fill is unclamped), the stored
-           rows decide the warm verification with two scalar comparisons
-           and the plan is emitted straight from the row — the same floats
-           in the same order as the sequential verification.
-        3. Otherwise, run :func:`progressive_filling` against exact
-           availability, exactly as the cold sequential fill would.
+        2. Otherwise bisect ``c*`` in the job's :func:`ladder_rows`
+           table (one per event).  When every window slot still has
+           ``c*`` GPUs free, the lemma there makes the plan ``c*``'s row:
+           a fast accept.
+        3. Otherwise (a clamped window, no feasible row, no window, no
+           ladder or no work left) run :func:`progressive_filling` against
+           exact availability, exactly as the cold sequential fill would.
+
+        Fast accepts and fallbacks are counted in :mod:`repro.perf.probe`
+        as ``alg1_fast_accepts`` / ``alg1_fallbacks``; ``alg1_row_reuses``
+        counts tables served from the event's ``_ladders``.
         """
         horizon = grid.horizon
         capacity = self.capacity
-        hints = self._warm_hints
-        batch = self._event_batch_for(grid)
-        rows = self._event_rows
-        row_reuses = 0
-        prepared: list[tuple[int, int, int, int] | None] = [None] * len(ordered)
-        for i, info in enumerate(ordered):
-            if info.best_effort or not info.sizes:
-                continue
-            if info.remaining_iterations <= _EPS:
-                continue
-            w = info.window(0)
-            if w == 0:
-                continue
-            cap = hints.get((info.job_id, 0))
-            if cap is None:
-                continue
-            rkey = (info.job_id, cap, info.tables_token)
-            entry = rows.get(rkey)
-            if entry is not None and entry[2] == w:
-                prepared[i] = (entry[0], cap, entry[1], w)
-                row_reuses += 1
-                continue
-            consts = ladder_consts(
-                info.tables_token,
-                cap,
-                info.sizes,
-                info.sizes_array(),
-                info.size_table,
-                info.throughput_table,
-            )
-            if consts is None:
-                continue  # stale hint from a different table build
-            s_cap, thr_hint, _below, thr_below = consts
-            handle = batch.add(info.weights[:w], thr_hint, thr_below)
-            rows[rkey] = (handle, s_cap, w)
-            prepared[i] = (handle, cap, s_cap, w)
-        batch.solve()
-
+        event = (grid.origin, grid.slot_seconds, horizon, tables_global_revision())
+        if self._event_key != event:
+            self._event_key = event
+            self._ladders = {}
+        ladders = self._ladders
         old = retained.order if retained is not None else []
         old_plans = retained.plans if retained is not None else {}
         n_old = len(old)
@@ -911,8 +764,8 @@ class AdmissionController:
         degraded: set[str] = set()
         infeasible: str | None = None
         zero_plan: np.ndarray | None = None
-        reuses = refills = fast = fallbacks = 0
-        for i, info in enumerate(ordered):
+        reuses = refills = fast = fallbacks = table_reuses = 0
+        for info in ordered:
             info.degraded = False
             if info.best_effort:
                 if zero_plan is None:
@@ -920,8 +773,7 @@ class AdmissionController:
                 info.min_share_plan = zero_plan
                 plans[info.job_id] = zero_plan
                 continue
-            prep = prepared[i]
-            w = prep[3] if prep is not None else info.window(0)
+            w = info.window(0)
             old_plan = None
             if retained is not None:
                 okey = (info.deadline, info.job_id)
@@ -953,32 +805,34 @@ class AdmissionController:
                         continue
                 refills += 1
             plan = None
-            if prep is not None:
-                handle, cap, s_cap, _w = prep
-                if capacity - int(used[:w].max()) >= cap:
-                    required = info.remaining_iterations
-                    threshold = required - _EPS
-                    row = batch.hint_row(handle)
-                    if (
-                        row[-1] >= threshold
-                        and batch.below_total(handle) < threshold
-                    ):
-                        # The verified hint came out of ``hints`` with this
-                        # exact cap, so there is nothing to write back.
-                        fast += 1
-                        plan = _emit_plan(
-                            info,
-                            np.zeros(horizon, dtype=np.int64),
-                            s_cap,
-                            row,
-                            required,
-                            threshold,
-                            info.weights[:w],
-                            0,
-                        )
+            required = info.remaining_iterations
+            if w and required > _EPS:
+                key = (info.job_id, info.tables_token)
+                table = ladders.get(key)
+                if table is not None and table[0] == w:
+                    table_reuses += 1
+                else:
+                    table = ladder_rows(info, 0)
+                    if info.tables_token >= 0:  # hand-built views share -1
+                        ladders[key] = table
+                _stop, caps, totals, rows = table
+                threshold = required - _EPS
+                index = bisect_left(totals, threshold)
+                if index < len(caps) and capacity - int(used[:w].max()) >= caps[index]:
+                    fast += 1
+                    plan = _emit_plan(
+                        info,
+                        np.zeros(horizon, dtype=np.int64),
+                        int(info.size_table[caps[index]]),
+                        rows[index],
+                        required,
+                        threshold,
+                        info.weights[:w],
+                        0,
+                    )
             if plan is None:
                 fallbacks += 1
-                plan = progressive_filling(info, capacity - used, warm_hints=hints)
+                plan = progressive_filling(info, capacity - used)
             if plan is None:
                 info.degraded = True
                 degraded.add(info.job_id)
@@ -996,10 +850,12 @@ class AdmissionController:
                         lo = min(lo, int(nonzero[0]))
             if w:
                 used[:w] += plan[:w]
-        note_batched_walk(fast, fallbacks)
-        counters = {"alg1_row_reuses": row_reuses}
+        counters = {
+            "alg1_fast_accepts": fast,
+            "alg1_fallbacks": fallbacks,
+            "alg1_row_reuses": table_reuses,
+        }
         if retained is not None:
-            counters["alg1_delta_fast"] = fast
             self.delta_hits += 1
             self.delta_reuses += reuses
             self.delta_refills += refills
@@ -1032,9 +888,7 @@ class AdmissionController:
             if info.best_effort:
                 plan = np.zeros(grid.horizon, dtype=np.int64)
             else:
-                plan = progressive_filling(
-                    info, ledger.available(), warm_hints=self._warm_hints
-                )
+                plan = progressive_filling(info, ledger.available())
                 if plan is None:
                     if stop_on_failure:
                         return AdmissionResult(

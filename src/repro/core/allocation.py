@@ -23,7 +23,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.admission import PlanningJob, _emit_plan, progressive_filling
+from repro.core.admission import (
+    LadderTable,
+    PlanningJob,
+    _emit_plan,
+    ladder_rows,
+    progressive_filling,
+)
 from repro.core.plan import Ledger
 from repro.numeric import EPS as _EPS
 from repro.perf import probe
@@ -45,9 +51,9 @@ class Upgrade(NamedTuple):
       valid while ``added_gpus`` fits the unclaimed slot-0 capacity.
     - **unclamped** (``cap > 0``): the tail refill ran entirely below the
       leftover capacity, so the plan is a pure function of the job's view
-      and ``cap`` (the lemma in :class:`_LadderRows`).  It stays valid
-      while the windowed minimum of availability plus the job's own plan
-      still reaches ``cap``.
+      and ``cap`` (the lemma in :func:`~repro.core.admission.ladder_rows`).
+      It stays valid while the windowed minimum of availability plus the
+      job's own plan still reaches ``cap``.
     - **clamped** (``available`` is set): the exact
       :func:`progressive_filling` refill.  ``available`` snapshots the
       ledger's unclaimed-capacity vector at proposal time — by
@@ -89,29 +95,19 @@ def _gpu_seconds_to_completion(info: PlanningJob, n_gpus: int, slot_seconds: flo
 class _LadderRows:
     """Per-call unclamped ladder rows, plus the state the upgrade loop carries.
 
-    **Lemma.**  Within one :func:`allocate_leftover` call every planning
-    view is frozen, so a job's *unclamped* row for ladder cap ``c`` —
-    ``cumsum(T[S[c]] * weights[1:stop])`` over its usable tail window — is
-    a pure function of ``(job_id, c)``.  Let ``c*`` be the first cap whose
-    unclamped row reaches ``required - EPS``.  If
-    ``m = min(available + own_plan)[1:stop] >= c*``, every row up to ``c*``
-    is unclamped (each slot takes ``min(c, available) == c``), so
-    :func:`progressive_filling` picks ``c*`` and emits the same plan
-    whatever the availability.  A stale unclamped proposal is therefore
-    still exactly what a rebuild would produce while ``m_now >= c*``.
-
-    A job's first lookup builds all of its ladder rows in one 2-D
-    ``cumsum`` — row for row bit-identical to the 1-D cumsums the fill
-    computes (see :mod:`repro.core.batch`).  The row totals are
-    non-decreasing in the cap (``T`` is a running maximum and IEEE
-    multiplication and addition round monotonically), so ``c*`` for any
-    requirement is one bisect over them.  When no unclamped row is
-    feasible, no clamped one is either; that case, an empty window and a
-    clamped window all fall back to :func:`progressive_filling`.
+    Within one :func:`allocate_leftover` call every planning view is
+    frozen, so each job's tail table ``ladder_rows(info, 1)`` is built on
+    its first lookup and kept for the call.  By the lemma in
+    :func:`repro.core.admission.ladder_rows`, when
+    ``m = min(available + own_plan)[1:stop] >= c*`` the tail refill is
+    ``c*``'s row whatever the availability, so a stale unclamped proposal
+    is still exactly what a rebuild would produce while ``m_now >= c*``.
+    No feasible row, an empty window and a clamped window all fall back
+    to :func:`progressive_filling`.
     """
 
     def __init__(self, ledger: Ledger) -> None:
-        self._tables: dict[str, tuple[int, list[float], np.ndarray]] = {}
+        self._tables: dict[str, LadderTable] = {}
         #: Unclaimed slot-0 GPUs, decremented by every apply (the only
         #: ledger mutation while the loop runs).
         self.avail0 = ledger.available_at(0)
@@ -139,19 +135,11 @@ class _LadderRows:
             cost = self.costs[info.job_id] = info.gpu_seconds_of(current)
         return cost
 
-    def _table(self, info: PlanningJob) -> tuple[int, list[float], np.ndarray]:
-        """``(stop, row totals, rows)`` of a job; no rows without a window
-        or a ladder, so every requirement then falls back to the fill."""
+    def _table(self, info: PlanningJob) -> LadderTable:
+        """The job's tail ladder table, built on first lookup."""
         table = self._tables.get(info.job_id)
         if table is None:
-            stop = 1 + info.window(1)
-            if stop > 1 and info.sizes:
-                thr = info.throughput_table[info.size_table[info.sizes_array()]]
-                rows = np.cumsum(thr[:, None] * info.weights[1:stop], axis=1)
-                table = (stop, rows[:, -1].tolist(), rows)
-            else:
-                table = (stop, [], np.empty((0, 0)))
-            self._tables[info.job_id] = table
+            table = self._tables[info.job_id] = ladder_rows(info, 1)
         return table
 
     def unclamped(
@@ -172,12 +160,12 @@ class _LadderRows:
         ) * float(info.weights[0])
         if required <= _EPS:
             return head, 0
-        stop, totals, rows = self._table(info)
+        stop, caps, totals, rows = self._table(info)
         threshold = required - _EPS
         index = bisect_left(totals, threshold)
         if index == len(totals):
             return None
-        cap = info.sizes[index]
+        cap = caps[index]
         if int((avail_slots[1:stop] + current[1:stop]).min()) < cap:
             return None
         plan = _emit_plan(
@@ -198,15 +186,12 @@ def _propose(
     ledger: Ledger,
     slot_seconds: float,
     old_cost: float | None = None,
-    warm_hints: dict[tuple[str, int], int] | None = None,
     rows: _LadderRows | None = None,
 ) -> Upgrade | None:
     """Build the next upgrade for one job, or ``None`` if it cannot grow.
 
     ``old_cost`` short-circuits the GPU-time of the job's current plan when
     the caller already knows it (the cost of the upgrade it just applied).
-    ``warm_hints`` carries the tail refill's previous cap choices into
-    :func:`progressive_filling` (verified there; see its docstring).
     ``rows`` (the chain loop's per-call state) serves slot-0-only and
     unclamped tails from the ladder table, with ``progressive_filling`` as
     the fallback; without it every tail goes through the fill.
@@ -264,7 +249,6 @@ def _propose(
             avail_slots + current,  # capacity if this job replans
             start_slot=1,
             head=head,
-            warm_hints=warm_hints,
         )
         if filled is None:
             return None
@@ -338,8 +322,6 @@ def allocate_leftover(
     infos: list[PlanningJob],
     ledger: Ledger,
     slot_seconds: float,
-    *,
-    warm_hints: dict[tuple[str, int], int] | None = None,
 ) -> dict[str, int]:
     """Run Algorithm 2: distribute leftover slot-0 GPUs by marginal return.
 
@@ -350,10 +332,6 @@ def allocate_leftover(
         ledger: Occupancy ledger pre-loaded with minimum shares.  Mutated in
             place; on return it holds the final plans.
         slot_seconds: Width of one planning slot.
-        warm_hints: Optional cap-hint store threaded into every exact tail
-            refill (see :func:`repro.core.admission.progressive_filling`);
-            the policy passes its controller's hint dict so cap choices
-            carry across events.
 
     Returns:
         Mapping of job id to its slot-0 GPU allocation (the decision that is
@@ -362,7 +340,7 @@ def allocate_leftover(
     by_id = {info.job_id: info for info in infos}
     revalidate = cache_enabled()
     if revalidate and batching_enabled():
-        return _allocate_chained(infos, by_id, ledger, slot_seconds, warm_hints)
+        return _allocate_chained(infos, by_id, ledger, slot_seconds)
 
     # Ties on (priority, tiebreak) are broken by job id, NOT insertion
     # order: the order must be a property of the proposals themselves so
@@ -371,7 +349,7 @@ def allocate_leftover(
     heap: list[tuple[float, float, str, Upgrade]] = []
 
     def push(info: PlanningJob, old_cost: float | None = None) -> None:
-        upgrade = _propose(info, ledger, slot_seconds, old_cost, warm_hints)
+        upgrade = _propose(info, ledger, slot_seconds, old_cost)
         if upgrade is not None:
             heapq.heappush(
                 heap, (-upgrade.priority, upgrade.tiebreak, upgrade.job_id, upgrade)
@@ -405,7 +383,6 @@ def _allocate_chained(
     by_id: dict[str, PlanningJob],
     ledger: Ledger,
     slot_seconds: float,
-    warm_hints: dict[tuple[str, int], int] | None,
 ) -> dict[str, int]:
     """The chain-native upgrade loop (caches + batching on).
 
@@ -419,7 +396,7 @@ def _allocate_chained(
     heap: list[tuple[float, float, str, Upgrade]] = []
     heappush, heappop = heapq.heappush, heapq.heappop
     for info in infos:
-        upgrade = _propose(info, ledger, slot_seconds, None, warm_hints, rows)
+        upgrade = _propose(info, ledger, slot_seconds, None, rows)
         if upgrade is not None:
             heappush(heap, (-upgrade.priority, upgrade.tiebreak, info.job_id, upgrade))
 
@@ -432,7 +409,7 @@ def _allocate_chained(
         if upgrade.ledger_version != ledger.version:
             if not rows.still_valid(upgrade, info, ledger):
                 # Genuinely stale: the capacity it relied on is gone.
-                nxt = _propose(info, ledger, slot_seconds, None, warm_hints, rows)
+                nxt = _propose(info, ledger, slot_seconds, None, rows)
                 if nxt is not None:
                     heappush(heap, (-nxt.priority, nxt.tiebreak, job_id, nxt))
                 continue
@@ -444,7 +421,7 @@ def _allocate_chained(
         # With slot-0 capacity spent the follow-up would fail its slot-0
         # gate before doing any work, so skip building it.
         if rows.avail0 > 0:
-            nxt = _propose(info, ledger, slot_seconds, None, warm_hints, rows)
+            nxt = _propose(info, ledger, slot_seconds, None, rows)
             if nxt is not None:
                 heappush(heap, (-nxt.priority, nxt.tiebreak, job_id, nxt))
 

@@ -314,17 +314,10 @@ class ElasticFlowPolicy(SchedulerPolicy):
         grid = self._grid(now, active)
         controller = self._controller(capacity)
         infos = self._infos(active, grid)
-        if cache_enabled() and len(controller.warm_hints) > 2 * len(active) + 64:
-            controller.prune_warm_hints({job.job_id for job in active})
         mark = probe.lap("views", mark)
         result = controller.plan_shares(infos, grid, stop_on_failure=False)
         mark = probe.lap("alg1", mark)
-        decisions = allocate_leftover(
-            infos,
-            result.ledger,
-            grid.slot_seconds,
-            warm_hints=controller.warm_hints if cache_enabled() else None,
-        )
+        decisions = allocate_leftover(infos, result.ledger, grid.slot_seconds)
         if self.stability_threshold > 0:
             decisions = self._stabilize(
                 decisions, infos, active, self._share_minima(infos)

@@ -95,7 +95,7 @@ def coherent(**field_hooks: str) -> Callable[[_C], _C]:
             *advisory* field whose every entry is re-validated against
             ground truth at the point of use — staleness can cost time
             but never correctness, so mutators need no invalidation hook
-            (e.g. the admission controller's warm-start cap hints).  A
+            (e.g. a store of cap hints, each re-proved before use).  A
             verified field may name the method(s) that perform the
             re-validation — ``"verified:caps_fresh"`` — which lets
             the analyser prove every boundary-crossing read actually

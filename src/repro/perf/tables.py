@@ -50,9 +50,6 @@ __all__ = [
     "batched_solver_disabled",
     "tables_global_revision",
     "cache_stats",
-    "ladder_consts",
-    "note_warm_fill",
-    "note_batched_walk",
     "reset_cache",
 ]
 
@@ -90,10 +87,6 @@ _stats = {
     "misses": 0,
     "bypasses": 0,
     "invalidations": 0,
-    "warm_hits": 0,
-    "warm_misses": 0,
-    "batch_hits": 0,
-    "batch_misses": 0,
 }
 
 
@@ -166,72 +159,6 @@ def invalidate_planning_tables(curve) -> None:
         _stats["invalidations"] += 1
 
 
-#: Per-(table build, cap) ladder constants for warm-hint verification.
-#: Each entry holds ``(sizes, value)`` where ``sizes`` is the build's
-#: ladder tuple (kept for identity validation) and ``value`` is
-#: ``(S[cap], T[S[cap]], next-lower cap, T[S[below]])`` — or ``None``
-#: when the cap is not in that build's ladder.  The values are pure
-#: functions of the table build, so entries can never go stale; the
-#: bound only exists to keep a pathological run from growing the dict
-#: without limit.
-_ladder_consts: dict[
-    tuple[int, int], tuple[object, tuple[int, float, int, float] | None]
-] = {}
-_LADDER_CONSTS_LIMIT = 65536
-
-
-def ladder_consts(
-    token: int,
-    cap: int,
-    sizes: object,
-    sizes_arr: np.ndarray,
-    size_table: np.ndarray,
-    throughput_table: np.ndarray,
-) -> tuple[int, float, int, float] | None:
-    """Hint-cap constants of one table build, memoized by ``(token, cap)``.
-
-    Returns ``(s_cap, thr_hint, below, thr_below)`` — the GPUs actually
-    used at the hinted cap, its constant per-slot throughput, the
-    next-lower ladder cap (``0`` when the hint is already the smallest)
-    and that cap's throughput — or ``None`` when ``cap`` is not in the
-    ladder (a stale hint from a different build).  These are exactly the
-    scalars the warm verification derives per call; hoisting them here
-    removes a ``searchsorted`` and four table lookups from every
-    warm-hinted fill.
-
-    A hit additionally requires the entry's ``sizes`` to be the *same
-    object* as the caller's: every view of one memoized table build
-    shares the build's ladder tuple, so real tokens always validate,
-    while hand-built views that stamp non-unique tokens (test fixtures)
-    fail the identity check and recompute instead of reading another
-    ladder's constants.  Hand-built views (``token == -1``) and the
-    cache-disabled mode always compute fresh.
-    """
-    memoize = token >= 0 and _enabled
-    if memoize:
-        key = (token, cap)
-        entry = _ladder_consts.get(key)
-        if entry is not None and entry[0] is sizes:
-            return entry[1]
-    idx = int(np.searchsorted(sizes_arr, cap))
-    if idx >= sizes_arr.size or int(sizes_arr[idx]) != cap:
-        value = None
-    else:
-        s_cap = int(size_table[cap])
-        thr_hint = float(throughput_table[s_cap])
-        if idx > 0:
-            below = int(sizes_arr[idx - 1])
-            thr_below = float(throughput_table[int(size_table[below])])
-        else:
-            below, thr_below = 0, 0.0
-        value = (s_cap, thr_hint, below, thr_below)
-    if memoize:
-        if len(_ladder_consts) >= _LADDER_CONSTS_LIMIT:
-            _ladder_consts.clear()
-        _ladder_consts[key] = (sizes, value)
-    return value
-
-
 def tables_global_revision() -> int:
     """Module-wide invalidation counter covering *every* curve.
 
@@ -274,14 +201,16 @@ def planning_cache_disabled():
 
 
 def batching_enabled() -> bool:
-    """Whether the batched multi-job solver layer is currently on.
+    """Whether the ladder-table solvers are currently on.
 
-    The batched solver (see ``repro.core.batch`` and the admission
-    controller's ``_walk``) is a separate toggle from the memo switch:
-    turning it off while leaving the caches on yields the sequential
-    per-job solver, which is the reference the scale-equivalence
-    benchmarks compare against (running the fully uncached reference at
-    16k GPUs is intractable).
+    With this on (and the caches on), Algorithm 1 runs the admission
+    controller's commit walk and Algorithm 2 the chain-native upgrade
+    loop, both of which fast-accept unclamped fills from one
+    ``ladder_rows`` table per job.  Turning it off while leaving the
+    caches on yields the sequential per-job solvers, whose fills are
+    plain 2-D scans sharing no ladder code with production: the
+    reference the scale-equivalence benchmarks compare against (running
+    the fully uncached reference at 16k GPUs is intractable).
     Call sites must still gate on :func:`cache_enabled` first — the
     cache-disabled reference always routes to the reference scan.
     """
@@ -293,7 +222,7 @@ def batched_solver_disabled():
     """Context manager: solve sequentially per job, caches still on.
 
     The mid/xl-scale decision-digest checks run under this to compare the
-    batched commit walk against the sequential fill it replaced.
+    ladder-table solvers against the sequential fills they replaced.
     """
     global _batching
     previous, _batching = _batching, False
@@ -308,38 +237,11 @@ def cache_stats() -> dict[str, int]:
     return dict(_stats)
 
 
-def note_warm_fill(hit: bool) -> None:
-    """Count one warm-hint fill attempt (verified reuse vs full-scan fallback).
-
-    Warm-started progressive fills (see ``repro.core.admission``) record
-    their outcome here so the benchmark can report how often the O(window)
-    verification actually short-circuits the 2-D cap scan.
-    """
-    if hit:
-        _stats["warm_hits"] += 1
-    else:
-        _stats["warm_misses"] += 1
-
-
-def note_batched_walk(accepts: int, fallbacks: int) -> None:
-    """Bulk-record one batched commit walk's fill outcomes.
-
-    Each fast accept is both a verified warm fill and a batch-emitted
-    plan; each fallback is a batch miss (its warm outcome is recorded by
-    the sequential fill it runs).  One call per walk replaces two counter
-    calls per job in the hottest admission loop.
-    """
-    _stats["warm_hits"] += accepts
-    _stats["batch_hits"] += accepts
-    _stats["batch_misses"] += fallbacks
-
-
 @invalidates("planning_tables")
 def reset_cache() -> None:
     """Forget every cached table and zero the counters."""
     global _global_revision
     _store.clear()
-    _ladder_consts.clear()
     _global_revision += 1
     for key in _stats:
         _stats[key] = 0

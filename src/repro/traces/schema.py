@@ -9,6 +9,7 @@ production traces.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.errors import TraceError
@@ -36,14 +37,20 @@ class TraceJob:
     def __post_init__(self) -> None:
         if not self.job_id:
             raise TraceError("job_id must be non-empty")
-        if self.submit_time < 0:
-            raise TraceError(f"submit_time must be >= 0, got {self.submit_time}")
+        # NaN compares false against everything, so the range checks
+        # alone would admit it (and an unsortable trace with it).
+        if not math.isfinite(self.submit_time) or self.submit_time < 0:
+            raise TraceError(
+                f"submit_time must be finite and >= 0, got {self.submit_time}"
+            )
         if not is_power_of_two(self.n_gpus):
             raise TraceError(
                 f"n_gpus must be a positive power of two, got {self.n_gpus}"
             )
-        if self.duration_s <= 0:
-            raise TraceError(f"duration_s must be > 0, got {self.duration_s}")
+        if not math.isfinite(self.duration_s) or self.duration_s <= 0:
+            raise TraceError(
+                f"duration_s must be finite and > 0, got {self.duration_s}"
+            )
 
     @property
     def gpu_seconds(self) -> float:

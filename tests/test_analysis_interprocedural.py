@@ -188,21 +188,18 @@ def test_parse_dependency_classifies_kinds_and_verifiers() -> None:
 
 
 def test_export_contracts_reports_verifier_declarations() -> None:
-    from repro.core.admission import AdmissionController
-
-    @coherent(_caps="verified:caps_fresh")
+    @coherent(_caps="verified:caps_fresh", _hints="verified")
     class HintStore:
         def caps_fresh(self, key: str) -> bool:
             return True
 
-    contracts = export_contracts((Ledger, AdmissionController, HintStore))
+    contracts = export_contracts((Ledger, HintStore))
     ledger = contracts["classes"]["Ledger"]
     assert ledger["coherent_fields"]["_plans"]["kind"] == "hook"
-    controller = contracts["classes"]["AdmissionController"]
-    hints = controller["coherent_fields"]["_warm_hints"]
+    store = contracts["classes"][HintStore.__qualname__]
+    hints = store["coherent_fields"]["_hints"]
     assert hints["kind"] == "verified"
     assert list(hints["verifiers"]) == []
-    store = contracts["classes"][HintStore.__qualname__]
     caps = store["coherent_fields"]["_caps"]
     assert caps["kind"] == "verified"
     assert list(caps["verifiers"]) == ["caps_fresh"]

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.core import AdmissionController, Ledger, SlotGrid, allocate_leftover
 from repro.core import allocation
-from repro.core.admission import progressive_filling
+from repro.core.admission import ladder_rows, progressive_filling
 from repro.core.allocation import _LadderRows, _propose
 from repro.perf import probe
 from repro.perf.tables import batched_solver_disabled, planning_cache_disabled
@@ -29,41 +29,30 @@ from repro.perf.tables import batched_solver_disabled, planning_cache_disabled
 from conftest import synthetic_planning_job
 
 FIG_CURVE = {1: 1.0, 2: 1.5, 4: 2.0}
+PLATEAU_CURVE = {1: 1.0, 2: 1.8, 4: 1.8, 8: 3.0}
 
 
 def unit_grid(horizon: int = 5) -> SlotGrid:
     return SlotGrid(origin=0.0, slot_seconds=1.0, horizon=horizon)
 
 
-def run_algorithm2(make_infos, grid, capacity, warm_hints=None):
+def run_algorithm2(make_infos, grid, capacity):
     """Algorithm 1 then Algorithm 2 on fresh views; returns final plans."""
     infos = make_infos()
     controller = AdmissionController(capacity)
     result = controller.plan_shares(infos, grid, stop_on_failure=False)
-    decisions = allocate_leftover(
-        infos, result.ledger, grid.slot_seconds, warm_hints=warm_hints
-    )
+    decisions = allocate_leftover(infos, result.ledger, grid.slot_seconds)
     plans = {info.job_id: result.ledger.plan_of(info.job_id) for info in infos}
     return decisions, plans
 
 
-def assert_three_way_equivalence(make_infos, grid, capacity, warm_hints=None):
+def assert_three_way_equivalence(make_infos, grid, capacity):
     """Chain loop == sequential solver == cache-disabled reference."""
-
-    def hints():
-        return None if warm_hints is None else dict(warm_hints)
-
-    chain_decisions, chain_plans = run_algorithm2(
-        make_infos, grid, capacity, hints()
-    )
+    chain_decisions, chain_plans = run_algorithm2(make_infos, grid, capacity)
     with batched_solver_disabled():
-        seq_decisions, seq_plans = run_algorithm2(
-            make_infos, grid, capacity, hints()
-        )
+        seq_decisions, seq_plans = run_algorithm2(make_infos, grid, capacity)
     with planning_cache_disabled():
-        ref_decisions, ref_plans = run_algorithm2(
-            make_infos, grid, capacity, hints()
-        )
+        ref_decisions, ref_plans = run_algorithm2(make_infos, grid, capacity)
     assert chain_decisions == seq_decisions == ref_decisions
     for job_id in chain_plans:
         assert np.array_equal(chain_plans[job_id], seq_plans[job_id])
@@ -85,7 +74,7 @@ class TestEngineEquivalence:
                 ),
             ]
 
-        assert_three_way_equivalence(make, grid, 6, warm_hints={})
+        assert_three_way_equivalence(make, grid, 6)
 
     def test_best_effort_and_slo_mix(self):
         grid = unit_grid()
@@ -98,34 +87,7 @@ class TestEngineEquivalence:
                 ),
             ]
 
-        assert_three_way_equivalence(make, grid, 4, warm_hints={})
-
-    def test_junk_warm_hints_are_harmless(self):
-        """Hints pointing at caps outside the ladder must not change plans."""
-        grid = unit_grid()
-
-        def make():
-            return [
-                synthetic_planning_job("a", 3.0, 4.0, grid, 8, FIG_CURVE),
-                synthetic_planning_job("b", 2.5, 4.0, grid, 8, FIG_CURVE),
-            ]
-
-        junk = {("a", 1): 3, ("b", 1): 999, ("ghost", 1): 2}
-        assert_three_way_equivalence(make, grid, 6, warm_hints=junk)
-
-    def test_warm_hints_reused_across_calls(self):
-        """A second pass with the hints the first populated stays equivalent."""
-        grid = unit_grid()
-
-        def make():
-            return [
-                synthetic_planning_job("a", 3.0, 4.0, grid, 8, FIG_CURVE),
-                synthetic_planning_job("b", 3.0, 4.0, grid, 8, FIG_CURVE),
-            ]
-
-        hints: dict = {}
-        run_algorithm2(make, grid, 6, hints)  # populate
-        assert_three_way_equivalence(make, grid, 6, warm_hints=hints)
+        assert_three_way_equivalence(make, grid, 4)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -158,7 +120,52 @@ class TestEngineEquivalence:
                 ),
             ]
 
-        assert_three_way_equivalence(make, grid, capacity, warm_hints={})
+        assert_three_way_equivalence(make, grid, capacity)
+
+
+class TestPlateauLadder:
+    """Caps 2 and 4 of a plateau curve run at the same size (``S[4] == 2``),
+    so a ladder table keeps one row for both; Algorithms 1 and 2 must still
+    decide exactly as the cache-disabled reference does."""
+
+    def test_table_keeps_the_first_cap_of_each_run(self):
+        info = synthetic_planning_job(
+            "p", 3.0, 4.0, unit_grid(), 12, PLATEAU_CURVE
+        )
+        stop, caps, totals, rows = ladder_rows(info, 0)
+        assert caps == (1, 2, 8)
+        assert rows.shape == (3, stop) and not rows.flags.writeable
+        assert totals == sorted(totals)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        works=st.lists(
+            st.floats(min_value=0.5, max_value=14.0), min_size=1, max_size=4
+        ),
+        capacity=st.integers(min_value=2, max_value=12),
+    )
+    def test_both_algorithms_match_reference(self, works, capacity):
+        grid = unit_grid(horizon=6)
+
+        def make():
+            return [
+                synthetic_planning_job(
+                    f"j{i}", work, 2.5 + i, grid, 12, PLATEAU_CURVE
+                )
+                for i, work in enumerate(works)
+            ]
+
+        fill = AdmissionController(capacity).plan_shares(
+            make(), grid, stop_on_failure=False
+        )
+        with planning_cache_disabled():
+            ref = AdmissionController(capacity).plan_shares(
+                make(), grid, stop_on_failure=False
+            )
+        assert fill.degraded == ref.degraded
+        for job_id, plan in ref.plans.items():
+            assert np.array_equal(fill.plans[job_id], plan), job_id
+        assert_three_way_equivalence(make, grid, capacity)
 
 
 # ------------------------------------------------------------ proposal forms
@@ -272,7 +279,7 @@ class TestEngineState:
         controller = AdmissionController(6)
         result = controller.plan_shares(infos, grid, stop_on_failure=False)
         probe.reset_counters()
-        allocate_leftover(infos, result.ledger, 1.0, warm_hints={})
+        allocate_leftover(infos, result.ledger, 1.0)
         counters = probe.counters()
         assert counters["alg2_applies"] > 0
         assert counters["alg2_applies"] <= counters["alg2_heap_pops"]
@@ -312,7 +319,7 @@ class _HypothesisDraws:
 
 
 def build_instance(d):
-    """A random Algorithm 2 input: views, registered plans and hints.
+    """A random Algorithm 2 input: views and registered plans.
 
     Ladders are arbitrary subsets of ``1..capacity`` with arbitrary
     (non-concave) throughputs, so priority chains need not be monotone.
@@ -371,17 +378,12 @@ def build_instance(d):
                 plan[slot] = options[d.int(0, min(top, 1) if tight else top)]
             free -= plan
             plans[job_id] = plan
-    hint_mode = d.int(0, 2)
-    hints = None if hint_mode == 0 else {}
-    if hint_mode == 2:
-        for job_id, *_ in specs:
-            hints[(job_id, 1)] = d.int(1, capacity + 1)
-    return make_infos, grid, capacity, plans, hints
+    return make_infos, grid, capacity, plans
 
 
 def _solve(instance):
     """One Algorithm 2 call on fresh views; returns decisions and plans."""
-    make_infos, grid, capacity, plans, hints = instance
+    make_infos, grid, capacity, plans = instance
     infos = make_infos()
     if plans is None:
         controller = AdmissionController(capacity)
@@ -390,12 +392,7 @@ def _solve(instance):
         ledger = Ledger(capacity, grid.horizon)
         for job_id, plan in plans.items():
             ledger.set_plan(job_id, plan)
-    decisions = allocate_leftover(
-        infos,
-        ledger,
-        grid.slot_seconds,
-        warm_hints=None if hints is None else dict(hints),
-    )
+    decisions = allocate_leftover(infos, ledger, grid.slot_seconds)
     return decisions, {info.job_id: ledger.plan_of(info.job_id) for info in infos}
 
 

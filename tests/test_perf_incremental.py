@@ -2,9 +2,8 @@
 
 Covers the reuse tiers added on top of the exact-match fill memo — the
 retained-fill event-delta walk in ``AdmissionController`` (watermark
-reuse), warm-started progressive filling, and the batched cold walk —
-plus the phase probe, warm-hint pruning, and
-the bounded controller cache.  The load-bearing property throughout is
+reuse) and the ladder-table fast accepts of the cold walk — plus the
+phase probe and the bounded controller cache.  The load-bearing property throughout is
 *bit-identical decisions*: every fast path must reproduce exactly what the
 cold solve (and the cache-disabled reference) would have produced.
 """
@@ -19,7 +18,6 @@ from repro.core import ElasticFlowPolicy, JobSpec
 from repro.core.admission import (
     AdmissionController,
     planning_job,
-    progressive_filling,
 )
 from repro.core.job import Job
 from repro.core.plan import Ledger
@@ -27,7 +25,6 @@ from repro.core.slots import SlotGrid
 from repro.perf import probe
 from repro.perf.tables import (
     batched_solver_disabled,
-    cache_stats,
     invalidate_planning_tables,
     planning_cache_disabled,
     reset_cache,
@@ -312,81 +309,6 @@ class TestDeltaFill:
         assert second.plans["a"] is first.plans["a"]  # shared, not copied
 
 
-# --------------------------------------------------------- warm-hint bound
-class TestWarmHintPruning:
-    def test_prune_drops_only_stale_jobs(self):
-        grid = SlotGrid(origin=0.0, slot_seconds=1.0, horizon=6)
-        a = tokened_job("a", 2.0, 2.0, grid, 8, token=1)
-        b = tokened_job("b", 6.0, 4.0, grid, 8, token=2)
-        ctrl = AdmissionController(8)
-        ctrl.plan_shares([a, b], grid, stop_on_failure=False)
-        assert {key[0] for key in ctrl.warm_hints} == {"a", "b"}
-        dropped = ctrl.prune_warm_hints({"a"})
-        assert dropped == 1
-        assert {key[0] for key in ctrl.warm_hints} == {"a"}
-        # Pruning is decision-neutral: hints are verified before use, so a
-        # re-solve after pruning reproduces the cold fill exactly.
-        second = ctrl.plan_shares([a, b], grid, stop_on_failure=False)
-        cold = AdmissionController(8)._fill([a, b], grid,
-                                            stop_on_failure=False)
-        assert _plans_equal(second.plans, cold.plans)
-
-
-# ------------------------------------------------------------- warm hints
-class TestWarmHints:
-    def setup_method(self):
-        reset_cache()
-        self.grid = SlotGrid(origin=0.0, slot_seconds=1.0, horizon=6)
-        # remaining 5.0 over 4 usable slots: cap 1 yields 4.0 (infeasible),
-        # cap 2 yields 7.2 -> the scan settles on cap 2.
-        self.info = tokened_job("j", 5.0, 4.0, self.grid, 8)
-        self.available = np.full(6, 8, dtype=np.int64)
-        self.baseline = progressive_filling(self.info, self.available)
-
-    def test_round_trip_records_then_verifies_the_cap(self):
-        hints: dict[tuple[str, int], int] = {}
-        first = progressive_filling(
-            self.info, self.available, warm_hints=hints
-        )
-        assert np.array_equal(first, self.baseline)
-        assert hints[("j", 0)] == 2
-        assert cache_stats()["warm_misses"] == 1
-        second = progressive_filling(
-            self.info, self.available, warm_hints=hints
-        )
-        assert np.array_equal(second, self.baseline)
-        assert cache_stats()["warm_hits"] == 1
-
-    @pytest.mark.parametrize(
-        "hint", [1, 3, 4, 16], ids=["infeasible", "unknown", "oversized", "beyond"]
-    )
-    def test_bad_hints_fall_back_and_self_correct(self, hint):
-        """Infeasible, unknown, and non-minimal hints must all lose the
-        verification and route to the full scan, bit-identically."""
-        hints = {("j", 0): hint}
-        plan = progressive_filling(self.info, self.available, warm_hints=hints)
-        assert np.array_equal(plan, self.baseline)
-        assert hints[("j", 0)] == 2
-        assert cache_stats()["warm_hits"] == 0
-
-    def test_infeasible_fill_drops_its_hint(self):
-        hopeless = tokened_job("h", 100.0, 2.0, self.grid, 8)
-        hints = {("h", 0): 2}
-        assert progressive_filling(
-            hopeless, self.available, warm_hints=hints
-        ) is None
-        assert ("h", 0) not in hints
-
-    def test_reference_path_ignores_hints(self):
-        hints = {("j", 0): 4}  # deliberately wrong; must stay untouched
-        with planning_cache_disabled():
-            plan = progressive_filling(
-                self.info, self.available, warm_hints=hints
-            )
-        assert np.array_equal(plan, self.baseline)
-        assert hints == {("j", 0): 4}
-
-
 # ------------------------------------------------- bounded controller cache
 class TestControllerCacheBound:
     def test_lru_eviction_and_identity(self):
@@ -615,13 +537,14 @@ def _run_disrupted(specs, schedule):
 
 
 def test_disrupted_trace_equivalence_and_reuse():
-    """Failure + repair + online curve corrections mid-trace: the warm and
-    delta paths must stay byte-identical to the cache-disabled reference —
-    and must demonstrably have been exercised."""
+    """Failure + repair + online curve corrections mid-trace: the ladder
+    and delta paths must stay byte-identical to the cache-disabled
+    reference — and must demonstrably have been exercised."""
     specs, schedule = _disrupted_workload()
     reset_cache()
+    probe.reset_counters()
     cached, policy = _run_disrupted(specs, schedule)
-    stats = cache_stats()
+    counters = probe.counters()
     with planning_cache_disabled():
         uncached, _ = _run_disrupted(specs, schedule)
     assert _digest(cached) == _digest(uncached)
@@ -632,4 +555,4 @@ def test_disrupted_trace_equivalence_and_reuse():
     assert sum(c.fill_cache_hits for c in controllers) > 0
     assert sum(c.delta_hits for c in controllers) > 0
     assert sum(c.delta_reuses for c in controllers) > 0
-    assert stats["warm_hits"] > 0
+    assert counters["alg1_fast_accepts"] > 0

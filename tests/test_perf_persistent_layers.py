@@ -6,7 +6,7 @@ vectorized sim advance (``engine._ProgressSoA``).  Their decision parity
 against the cache-disabled reference is asserted end to end in
 ``tests/test_perf_equivalence.py``; this module pins the supporting
 invariants (the slot-grid batch math the frame relies on, the rate-memo
-eviction, the event-scoped row store).
+eviction, the event-scoped ladder tables).
 """
 
 import math
@@ -17,10 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.topology import ClusterSpec
-from repro.core.batch import WarmRowBatch
 from repro.core.scheduler import ElasticFlowPolicy
 from repro.core.slots import SlotGrid
-from repro.perf.tables import reset_cache
+from repro.perf.tables import batched_solver_disabled, reset_cache
 from repro.profiles import ThroughputModel
 from repro.sim.engine import Simulator
 from repro.traces.synthetic import ClusterTraceConfig, generate_trace
@@ -133,11 +132,11 @@ def test_rate_memo_evicted_at_completion():
     )
 
 
-# ------------------------------------------------------ event-scoped rows
+# ---------------------------------------------------- event-scoped ladders
 class TestEventRowStore:
-    """The event-scoped ``WarmRowBatch`` (``_event_batch_for``) must reset
-    whenever the grid or the tables move, and its delta fast accepts must
-    land plans bit-identical to the sequential refill they replace."""
+    """The event-scoped ladder tables (``AdmissionController._ladders``)
+    must reset whenever the grid or the tables move, and the fast accepts
+    they serve must land plans bit-identical to the sequential fill."""
 
     THR = {1: 1.0, 2: 1.8, 8: 3.0}
     CAPACITY = 9
@@ -158,26 +157,26 @@ class TestEventRowStore:
         ctrl = AdmissionController(self.CAPACITY)
         grid1 = SlotGrid(origin=0.0, slot_seconds=1.0, horizon=8)
         ids = ["j0", "j1", "j2", "j3"]
-        # Event 1 seeds the warm hints (full scans; no rows yet).
+        # Event 1: the cold fill builds one table per job and stamps the
+        # store with this event's key.
         ctrl.plan_shares(
             self._infos(grid1, ids, 5.0, 4.0), grid1, stop_on_failure=False
         )
-        # Event 2 (new origin): the cold batched fill prepares one row per
-        # hinted job and stamps the store with this event's key.
+        assert ctrl._event_key is not None and ctrl._event_key[0] == 0.0
+        first = dict(ctrl._ladders)
+        assert len(first) == len(ids)
+        # Event 2 (new origin): the store resets before reuse, so no stale
+        # table built against the old weights can ever be read.
         grid2 = SlotGrid(origin=0.5, slot_seconds=1.0, horizon=8)
         ctrl.plan_shares(
             self._infos(grid2, ids, 5.0, 4.0), grid2, stop_on_failure=False
         )
-        assert ctrl._event_key is not None and ctrl._event_key[0] == 0.5
-        assert len(ctrl._event_rows) == len(ids)
-        # Event 3 (origin moved again): the store resets before reuse, so
-        # no stale row built against the old weights can ever be read.
-        grid3 = SlotGrid(origin=1.5, slot_seconds=1.0, horizon=8)
-        ctrl.plan_shares(
-            self._infos(grid3, ids, 5.0, 4.0), grid3, stop_on_failure=False
-        )
-        assert ctrl._event_key[0] == 1.5
-        assert len(ctrl._event_rows) == len(ids)
+        assert ctrl._event_key[0] == 0.5
+        assert len(ctrl._ladders) == len(ids)
+        assert all(ctrl._ladders[key] is not first[key] for key in first)
+        # Every table is frozen: fills share its rows by reference.
+        for _stop, _caps, _totals, rows in ctrl._ladders.values():
+            assert not rows.flags.writeable
 
     def test_delta_fast_accepts_are_bit_identical(self):
         from repro.core.admission import AdmissionController
@@ -204,13 +203,12 @@ class TestEventRowStore:
         trial_infos = [arrival] + self._infos(grid2, ids, 5.0, 4.0)
         trial = ctrl.plan_shares(trial_infos, grid2, stop_on_failure=False)
         assert ctrl.delta_fast_accepts > 0, (
-            "the trial delta never hit the event-row fast accept; the "
+            "the trial delta never hit the ladder fast accept; the "
             "scenario no longer exercises the reuse tier"
         )
-        # A fresh controller solves the identical trial set cold (no
-        # hints, no rows, no retained fill): every plan must match bit
-        # for bit.
-        cold_ctrl = AdmissionController(self.CAPACITY)
+        # The sequential solver fills the identical trial set with plain
+        # 2-D scans (no ladder tables, no retained fill): every plan must
+        # match bit for bit.
         cold_infos = [
             replace(
                 synthetic_planning_job(
@@ -219,56 +217,13 @@ class TestEventRowStore:
                 tables_token=50,
             )
         ] + self._infos(grid2, ids, 5.0, 4.0)
-        cold = cold_ctrl.plan_shares(cold_infos, grid2, stop_on_failure=False)
+        with batched_solver_disabled():
+            cold_ctrl = AdmissionController(self.CAPACITY)
+            cold = cold_ctrl.plan_shares(cold_infos, grid2, stop_on_failure=False)
+        assert cold_ctrl.delta_hits == 0 and not cold_ctrl._ladders
         assert set(trial.plans) == set(cold.plans)
         for job_id, plan in cold.plans.items():
             assert np.array_equal(trial.plans[job_id], plan), job_id
         assert trial.admitted == cold.admitted
         assert trial.degraded == cold.degraded
         assert np.array_equal(trial.ledger.used, cold.ledger.used)
-
-
-# ------------------------------------------------------ append-only batch
-class TestSolvePending:
-    """The event-scoped row store appends to one ``WarmRowBatch`` and
-    solves it again after each append; a split solve must reproduce the
-    all-at-once rows exactly."""
-
-    def add_rows(self, batch, rng, count):
-        handles = []
-        for _ in range(count):
-            length = int(rng.integers(1, 24))
-            weights = rng.uniform(0.1, 600.0, size=length)
-            handles.append(
-                batch.add(weights, float(rng.uniform(0.5, 8.0)), float(rng.uniform(0.0, 8.0)))
-            )
-        return handles
-
-    def test_incremental_solves_match_one_shot(self):
-        """Splitting adds across solves yields the all-at-once rows exactly."""
-        rng_a = np.random.default_rng(42)
-        rng_b = np.random.default_rng(42)
-        incremental = WarmRowBatch()
-        oneshot = WarmRowBatch()
-        # Mixed chunk sizes straddle SMALL_BATCH on both sides.
-        for chunk in (3, 12, 1, 9):
-            self.add_rows(incremental, rng_a, chunk)
-            incremental.solve_pending()
-        self.add_rows(oneshot, rng_b, 3 + 12 + 1 + 9)
-        oneshot.solve()
-        assert len(incremental) == len(oneshot)
-        for handle in range(len(oneshot)):
-            assert np.array_equal(
-                incremental.hint_row(handle), oneshot.hint_row(handle)
-            )
-            assert incremental.below_total(handle) == oneshot.below_total(handle)
-
-    def test_solve_is_idempotent(self):
-        rng = np.random.default_rng(3)
-        batch = WarmRowBatch()
-        handles = self.add_rows(batch, rng, 10)
-        batch.solve()
-        rows = [batch.hint_row(h).copy() for h in handles]
-        batch.solve()  # nothing pending: a no-op
-        for handle, row in zip(handles, rows):
-            assert np.array_equal(batch.hint_row(handle), row)

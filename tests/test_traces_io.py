@@ -1,5 +1,7 @@
 """Tests for trace serialisation (JSON and CSV round trips)."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,6 +46,20 @@ class TestJsonRoundTrip:
                 '{"name": "x", "cluster_gpus": 8, "jobs": [{"job_id": "a"}]}'
             )
 
+    @pytest.mark.parametrize("field", ["submit_time", "duration_s"])
+    @pytest.mark.parametrize("token", ["NaN", "Infinity"])
+    def test_non_finite_values_rejected(self, field, token):
+        # json.loads accepts NaN/Infinity tokens; the schema must not.
+        row = {"job_id": "a", "submit_time": 0, "n_gpus": 2, "duration_s": 10}
+        body = ", ".join(
+            f'"{key}": {token if key == field else json.dumps(value)}'
+            for key, value in row.items()
+        )
+        with pytest.raises(TraceError, match="finite"):
+            trace_from_json(
+                '{"name": "x", "cluster_gpus": 8, "jobs": [{' + body + "}]}"
+            )
+
     def test_schema_still_enforced(self):
         # A non-power-of-two GPU count fails TraceJob validation.
         with pytest.raises(TraceError):
@@ -82,6 +98,19 @@ class TestCsvRoundTrip:
             "a,zero,2,10\n"
         )
         with pytest.raises(TraceError, match="malformed"):
+            read_trace_csv(path)
+
+    @pytest.mark.parametrize(
+        "line", ["c,nan,1,1.0", "c,inf,1,1.0", "c,1.0,1,nan", "c,1.0,1,inf"]
+    )
+    def test_non_finite_row_rejected(self, tmp_path, line):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "# name=x cluster_gpus=8\n"
+            "job_id,submit_time,n_gpus,duration_s\n"
+            "a,5.0,1,1.0\n" + line + "\n"
+        )
+        with pytest.raises(TraceError, match="finite"):
             read_trace_csv(path)
 
     def test_missing_file_rejected(self, tmp_path):

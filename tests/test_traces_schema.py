@@ -1,5 +1,7 @@
 """Tests for the trace data model."""
 
+import math
+
 import pytest
 
 from repro.errors import TraceError
@@ -33,6 +35,16 @@ class TestTraceJob:
     def test_empty_id_rejected(self):
         with pytest.raises(TraceError):
             row(job_id="")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_submit_rejected(self, value):
+        with pytest.raises(TraceError, match="finite"):
+            row(submit=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_duration_rejected(self, value):
+        with pytest.raises(TraceError, match="finite"):
+            row(duration=value)
 
 
 class TestTrace:
