@@ -106,7 +106,7 @@ def test_ablation_power_of_two_cost(benchmark):
                     )
                 )
                 infos.append(planning_job(spec_job, curve, grid, capacity))
-            outcome = controller.plan_shares(infos, grid, stop_on_failure=False)
+            outcome = controller.plan_shares(infos, grid)
             gpu_time = sum(
                 float(np.sum(plan)) * grid.slot_seconds
                 for plan in outcome.plans.values()

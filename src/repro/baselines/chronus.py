@@ -105,7 +105,7 @@ class ChronusPolicy(QueueBasedPolicy):
         best_effort = [j for j in active if j.spec.best_effort]
         controller = AdmissionController(self.context.usable_gpus)
         infos = [self._info(j, grid) for j in slo]
-        result = controller.plan_shares(infos, grid, stop_on_failure=False)
+        result = controller.plan_shares(infos, grid)
         decisions = {
             info.job_id: int(result.plans[info.job_id][0]) for info in infos
         }

@@ -138,13 +138,10 @@ class PlanningJob:
         The window runs up to the job's last nonzero weight — beyond it no
         slot can contribute progress, so every planning decision is a
         function of capacity inside the window only.  Memoized per view
-        (the hot loops ask for the same window thousands of times) unless
-        the planning cache is disabled, in which case it is recomputed
-        fresh like everything else under the escape hatch.
+        (the hot loops ask for the same window thousands of times) on
+        every path: the window is a pure function of ``weights``, and the
+        planning frame re-seeds the memo whenever it rewrites them.
         """
-        if not cache_enabled():
-            nonzero = np.flatnonzero(self.weights[start_slot:])
-            return int(nonzero[-1]) + 1 if nonzero.size else 0
         windows = self.__dict__.get("_windows")
         if windows is None:
             windows = self.__dict__["_windows"] = {}
@@ -483,7 +480,7 @@ class AdmissionResult:
 
 @dataclass
 class _RetainedFill:
-    """The previous soft fill, kept for the event-delta replanning path.
+    """The previous fill, kept for the event-delta replanning path.
 
     Attributes:
         grid_key: ``(origin, slot_seconds, horizon)`` of the grid the fill
@@ -505,8 +502,8 @@ class _RetainedFill:
 class AdmissionController:
     """Algorithm 1: deadline-ordered progressive filling over all jobs.
 
-    The controller memoizes complete ``plan_shares`` fills (soft mode only)
-    keyed by a fingerprint of the participating jobs and the grid: on every
+    The controller memoizes complete ``plan_shares`` fills keyed by a
+    fingerprint of the participating jobs and the grid: on every
     scheduling event the policy runs Algorithm 1 two to three times over
     the identical job set (admission baseline, admission trial, then the
     allocation pass), and all but the first are replayed from the cache.
@@ -517,12 +514,14 @@ class AdmissionController:
     job carries a hand-built table (token ``-1``).
 
     Memo misses run the commit walk (:meth:`_walk`), which reuses plans
-    from ``_retained`` — the previous soft fill, same ``_fingerprint``
+    from ``_retained`` — the previous fill, same ``_fingerprint``
     key discipline — when the next fill runs on the same grid, and
     fast-accepts unclamped fills from each job's :func:`ladder_rows`
     table.  ``_ladders`` holds those tables for one scheduling event,
     keyed ``(job_id, tables_token)``: it resets whenever the grid or the
     planning-table revision moves, and a lookup re-checks the window.
+    Memo hits and misses and the walk's reuses and refills are counted
+    in :mod:`repro.perf.probe` (``alg1_memo_*``, ``alg1_delta_*``).
 
     Args:
         capacity: Number of GPUs in the cluster.
@@ -539,12 +538,6 @@ class AdmissionController:
         self._retained: _RetainedFill | None = None
         self._ladders: dict[tuple[str, int], LadderTable] = {}
         self._event_key: tuple[float, float, int, int] | None = None
-        self.fill_cache_hits = 0
-        self.fill_cache_misses = 0
-        self.delta_hits = 0
-        self.delta_reuses = 0
-        self.delta_refills = 0
-        self.delta_fast_accepts = 0
 
     # ------------------------------------------------------------- caching
     def _fingerprint(
@@ -602,47 +595,47 @@ class AdmissionController:
         )
 
     def plan_shares(
-        self,
-        infos: list[PlanningJob],
-        grid: SlotGrid,
-        *,
-        stop_on_failure: bool = True,
+        self, infos: list[PlanningJob], grid: SlotGrid
     ) -> AdmissionResult:
         """Fill minimum satisfactory shares for every SLO job, deadline order.
 
         Best-effort jobs receive an all-zero share (they are served from
-        leftovers by Algorithm 2).  With ``stop_on_failure=False`` an
-        infeasible job is *degraded* instead of aborting the fill: it loses
-        its reservation and joins the best-effort leftover queue, so a job
-        that was admitted earlier but fell behind (e.g. accumulated scaling
-        overheads) cannot poison the guarantees of everyone else.
+        leftovers by Algorithm 2).  An infeasible job is *degraded*
+        instead of aborting the fill: it loses its reservation and joins
+        the best-effort leftover queue, so a job that was admitted earlier
+        but fell behind (e.g. accumulated scaling overheads) cannot poison
+        the guarantees of everyone else.  Up to the first infeasible job,
+        which ``infeasible_job`` names, the fill is exactly the hard
+        Algorithm 1 of the paper, so ``admitted`` is its verdict.
 
-        Only soft (``stop_on_failure=False``) fills are memoized: the hard
-        mode aborts mid-fill and its partial ledger is not worth replaying.
-        Cache misses walk against the retained previous fill
-        (:meth:`_delta_fill`) when it ran on the same grid, and fill cold
-        otherwise; either way the produced fill becomes the new retained
-        snapshot.  The deadline order is computed once here and shared by
-        the walk and the snapshot.
+        One dispatch serves every path: a fill memo hit replays; otherwise
+        the commit walk (:meth:`_walk`) runs, against the retained previous
+        fill when it ran on the same grid and the views carry table tokens;
+        with the planning cache or the ladder tables switched off,
+        :meth:`_fill_sequential` runs instead.  A fingerprinted fill becomes
+        the new retained snapshot.  The deadline order is computed once here
+        and shared by the walk and the snapshot.
         """
         ordered = sorted(infos, key=_deadline_order)
-        key = None
-        if not stop_on_failure and cache_enabled():
-            key = self._fingerprint(infos, grid)
-            if key is not None:
-                cached = self._fill_cache.get(key)
-                if cached is not None:
-                    self._fill_cache.move_to_end(key)
-                    self.fill_cache_hits += 1
-                    result = self._replay(infos, grid, cached)
-                    self._retained = self._snapshot(ordered, grid, result)
-                    return result
-                self.fill_cache_misses += 1
-        result = None
+        key = self._fingerprint(infos, grid) if cache_enabled() else None
         if key is not None:
-            result = self._delta_fill(ordered, grid)
-        if result is None:
-            result = self._fill(ordered, grid, stop_on_failure=stop_on_failure)
+            cached = self._fill_cache.get(key)
+            if cached is not None:
+                self._fill_cache.move_to_end(key)
+                probe.bump("alg1_memo_hits")
+                result = self._replay(infos, grid, cached)
+                self._retained = self._snapshot(ordered, grid, result)
+                return result
+            probe.bump("alg1_memo_misses")
+        if not (cache_enabled() and batching_enabled()):
+            result = self._fill_sequential(ordered, grid)
+        else:
+            retained = self._retained if key is not None else None
+            if retained is not None and retained.grid_key != (
+                grid.origin, grid.slot_seconds, grid.horizon
+            ):
+                retained = None
+            result = self._walk(ordered, grid, retained)
         if key is not None:
             # Plans are frozen at registration time and the occupancy
             # vector is never edited in place, so the cache stores both by
@@ -662,7 +655,7 @@ class AdmissionController:
     def _snapshot(
         self, ordered: list[PlanningJob], grid: SlotGrid, result: AdmissionResult
     ) -> _RetainedFill:
-        """Package a finished soft fill for the next event's delta pass.
+        """Package a finished fill for the next event's delta pass.
 
         ``ordered`` must already be in deadline order (the caller sorts
         once for the fill, the delta walk and this snapshot together).
@@ -684,35 +677,6 @@ class AdmissionController:
             degraded=frozenset(result.degraded),
         )
 
-    def _delta_fill(
-        self, ordered: list[PlanningJob], grid: SlotGrid
-    ) -> AdmissionResult | None:
-        """Rebuild a soft fill from the retained one, re-filling only deltas.
-
-        Returns ``None`` (the caller fills cold) when there is no retained
-        fill for this grid, or when the batched solver is off — the
-        ``batched_solver_disabled()`` yardstick then re-solves every fill
-        with :meth:`_fill_sequential` and shares no walk logic with
-        production.  ``ordered`` is the caller's deadline-sorted view list.
-        """
-        retained = self._retained
-        if retained is None or not batching_enabled():
-            return None
-        if retained.grid_key != (grid.origin, grid.slot_seconds, grid.horizon):
-            return None
-        return self._walk(ordered, grid, retained)
-
-    def _fill(
-        self,
-        ordered: list[PlanningJob],
-        grid: SlotGrid,
-        *,
-        stop_on_failure: bool,
-    ) -> AdmissionResult:
-        if not stop_on_failure and cache_enabled() and batching_enabled():
-            return self._walk(ordered, grid, None)
-        return self._fill_sequential(ordered, grid, stop_on_failure=stop_on_failure)
-
     @mutates("Ledger._plans", "Ledger._used")
     def _walk(
         self,
@@ -720,7 +684,7 @@ class AdmissionController:
         grid: SlotGrid,
         retained: _RetainedFill | None,
     ) -> AdmissionResult:
-        """Soft Algorithm 1 fill as one deadline-order commit walk.
+        """Algorithm 1 fill as one deadline-order commit walk.
 
         A cold fill is a delta fill with nothing retained — every job is
         an arrival — so one walk serves both (bit-identical to
@@ -856,10 +820,9 @@ class AdmissionController:
             "alg1_row_reuses": table_reuses,
         }
         if retained is not None:
-            self.delta_hits += 1
-            self.delta_reuses += reuses
-            self.delta_refills += refills
-            self.delta_fast_accepts += fast
+            counters["alg1_delta_walks"] = 1
+            counters["alg1_delta_reuses"] = reuses
+            counters["alg1_delta_refills"] = refills
         probe.add_counters(counters)
         ledger = Ledger(capacity, horizon)
         ledger.load_plans(plans, used)
@@ -873,12 +836,10 @@ class AdmissionController:
 
     @mutates("Ledger._plans", "Ledger._used")
     def _fill_sequential(
-        self,
-        ordered: list[PlanningJob],
-        grid: SlotGrid,
-        *,
-        stop_on_failure: bool,
+        self, ordered: list[PlanningJob], grid: SlotGrid
     ) -> AdmissionResult:
+        """The paper-literal fill: one :func:`progressive_filling` per job
+        against the ledger, in deadline order (no ladder tables, no reuse)."""
         ledger = Ledger(self.capacity, grid.horizon)
         plans: dict[str, np.ndarray] = {}
         infeasible: str | None = None
@@ -890,13 +851,6 @@ class AdmissionController:
             else:
                 plan = progressive_filling(info, ledger.available())
                 if plan is None:
-                    if stop_on_failure:
-                        return AdmissionResult(
-                            admitted=False,
-                            plans={},
-                            ledger=ledger,
-                            infeasible_job=info.job_id,
-                        )
                     infeasible = infeasible or info.job_id
                     info.degraded = True
                     degraded.add(info.job_id)
@@ -926,17 +880,11 @@ class AdmissionController:
         """
         if candidate.best_effort:
             # Best-effort jobs are always accepted (Section 4.4).
-            result = self.plan_shares(
-                admitted + [candidate], grid, stop_on_failure=False
-            )
+            result = self.plan_shares(admitted + [candidate], grid)
             result.admitted = True
             return result
-        baseline_degraded = self.plan_shares(
-            admitted, grid, stop_on_failure=False
-        ).degraded
-        result = self.plan_shares(
-            admitted + [candidate], grid, stop_on_failure=False
-        )
+        baseline_degraded = self.plan_shares(admitted, grid).degraded
+        result = self.plan_shares(admitted + [candidate], grid)
         newly_broken = result.degraded - baseline_degraded - {candidate.job_id}
         result.admitted = (
             candidate.job_id not in result.degraded and not newly_broken

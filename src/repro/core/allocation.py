@@ -42,8 +42,10 @@ __all__ = ["Upgrade", "allocate_leftover"]
 class Upgrade(NamedTuple):
     """A proposed single-step expansion of one job's slot-0 allocation.
 
-    A proposal takes one of three forms, which decide how a popped proposal
-    whose ledger version is stale is *revalidated* instead of rebuilt:
+    A proposal takes one of three forms, which decide how the chain loop
+    (:func:`_allocate_chained`) *revalidates* a popped proposal whose
+    ledger version is stale instead of rebuilding it; the paper-literal
+    loop in :func:`allocate_leftover` rebuilds every stale pop:
 
     - **slot-0-only** (``available is None`` and ``cap == 0``): best-effort
       and degraded jobs, and SLO jobs whose new head alone finishes the
@@ -59,7 +61,7 @@ class Upgrade(NamedTuple):
       ledger's unclaimed-capacity vector at proposal time — by
       *reference*: :meth:`Ledger.available` hands out a frozen array that
       is rebound, never mutated, on version change.  See
-      :func:`_still_valid`.
+      :meth:`_LadderRows.still_valid`.
 
     A ``NamedTuple`` rather than a dataclass: the upgrade loop constructs
     one per proposal (a seven-figure count per full-scale run) and tuple
@@ -77,8 +79,8 @@ class Upgrade(NamedTuple):
     ledger_version: int
     available: np.ndarray | None = None
     #: GPU-time of ``plan`` (SLO proposals only).  After this upgrade is
-    #: applied it becomes the job's *current* cost, so the follow-up
-    #: proposal reuses it instead of recomputing the identical product.
+    #: applied it becomes the job's *current* cost, so the chain loop's
+    #: follow-up proposal reuses it instead of recomputing the product.
     new_cost: float = 0.0
     #: The lemma's ``c*`` for unclamped proposals; ``0`` otherwise.
     cap: int = 0
@@ -118,16 +120,33 @@ class _LadderRows:
 
     def still_valid(self, upgrade: Upgrade, info: PlanningJob, ledger: Ledger) -> bool:
         """Whether a stale-versioned proposal is exactly what a rebuild
-        would produce, checked per form (see :class:`Upgrade`)."""
+        would produce, checked per form (see :class:`Upgrade`).
+
+        A proposal depends only on the job's own plan (unchanged while its
+        one proposal is in flight) and on the capacity left for it.  A
+        clamped refill reads that capacity only inside the usable window
+        and only clamped at the largest runnable size ``top`` (the fill
+        takes ``min(cap, available)`` with ``cap <= top``), so an
+        unchanged clamped windowed vector means a bit-identical rebuild.
+        """
         if upgrade.added_gpus > self.avail0:
             return False
         if upgrade.cap:
             stop = self._tables[upgrade.job_id][0]
             window = ledger.available()[1:stop] + ledger.plan_view(upgrade.job_id)[1:stop]
             return int(window.min()) >= upgrade.cap
-        return upgrade.available is None or _still_valid(
-            upgrade, info, ledger, slot0_ok=True
-        )
+        if upgrade.available is None:
+            return True
+        stop = 1 + info.window(1)
+        if stop == 1:
+            return True
+        top = info.sizes[-1] if info.sizes else 0
+        own = ledger.plan_view(upgrade.job_id)[1:stop]
+        # The snapshot holds the ledger's availability by reference; the
+        # capacity the refill saw is snapshot + the job's own plan.
+        then = np.minimum(np.maximum(upgrade.available[1:stop] + own, 0), top)
+        now = np.minimum(np.maximum(ledger.available()[1:stop] + own, 0), top)
+        return bool(np.array_equal(then, now))
 
     def current_cost(self, info: PlanningJob, current: np.ndarray) -> float:
         cost = self.costs.get(info.job_id)
@@ -185,16 +204,15 @@ def _propose(
     info: PlanningJob,
     ledger: Ledger,
     slot_seconds: float,
-    old_cost: float | None = None,
     rows: _LadderRows | None = None,
 ) -> Upgrade | None:
     """Build the next upgrade for one job, or ``None`` if it cannot grow.
 
-    ``old_cost`` short-circuits the GPU-time of the job's current plan when
-    the caller already knows it (the cost of the upgrade it just applied).
     ``rows`` (the chain loop's per-call state) serves slot-0-only and
     unclamped tails from the ladder table, with ``progressive_filling`` as
-    the fallback; without it every tail goes through the fill.
+    the fallback, and carries the GPU-time of the job's current plan;
+    without it every tail goes through the fill and every cost is
+    recomputed.
     """
     current = ledger.plan_view(info.job_id)
     current_size = int(current[0])
@@ -220,9 +238,9 @@ def _propose(
             priority = math.inf
             tiebreak = _gpu_seconds_to_completion(info, 1, slot_seconds)
         else:
-            old_cost = _gpu_seconds_to_completion(info, current_size, slot_seconds)
+            cost = _gpu_seconds_to_completion(info, current_size, slot_seconds)
             new_cost = _gpu_seconds_to_completion(info, next_size, slot_seconds)
-            priority = (old_cost - new_cost) / added
+            priority = (cost - new_cost) / added
             tiebreak = 0.0
         return Upgrade(
             job_id=info.job_id,
@@ -253,68 +271,23 @@ def _propose(
         if filled is None:
             return None
         new_plan = filled
-    if old_cost is None:
-        old_cost = (
-            rows.current_cost(info, current)
-            if rows is not None
-            else info.gpu_seconds_of(current)
-        )
+    cost = (
+        rows.current_cost(info, current)
+        if rows is not None
+        else info.gpu_seconds_of(current)
+    )
     new_cost = info.gpu_seconds_of(new_plan)
     return Upgrade(
         job_id=info.job_id,
         plan=new_plan,
         added_gpus=added,
-        priority=(old_cost - new_cost) / added,
+        priority=(cost - new_cost) / added,
         tiebreak=0.0,
         ledger_version=ledger.version,
         available=snapshot,
         new_cost=new_cost,
         cap=cap,
     )
-
-
-def _still_valid(
-    upgrade: Upgrade,
-    info: PlanningJob,
-    ledger: Ledger,
-    slot0_ok: bool = False,
-) -> bool:
-    """Whether a stale-versioned proposal is still exactly what a rebuild
-    would produce.  ``slot0_ok`` says the caller already verified
-    ``added <= available[0]``.
-
-    A proposal depends only on the proposing job's own registered plan
-    (unchanged — each job has at most one proposal in flight, so its plan
-    can only have moved by applying *this* proposal) and on the capacity
-    left for it.  Slot-0 feasibility reduces to ``added <= available[0]``;
-    a clamped proposal's tail refill additionally depends on the leftover
-    capacity per slot, but only *within the job's usable window* (slots
-    with nonzero weight — progress and the written plan never reach past
-    it) and only *clamped at the job's largest runnable size* (the fill
-    takes ``min(cap, available)`` with ``cap <= top``, so capacity above
-    ``top`` is indistinguishable from ``top``).  When the clamped windowed
-    capacity vector is unchanged, the rebuilt proposal is bit-identical
-    (same plan, same priority), so the popped one can be applied directly —
-    this turns Algorithm 2 from O(upgrades x jobs) refills into
-    O(upgrades) refills plus cheap short-vector comparisons.
-    """
-    if not slot0_ok and upgrade.added_gpus > ledger.available_at(0):
-        return False
-    if upgrade.available is None:
-        return True
-    stop = 1 + info.window(1)
-    if stop == 1:
-        return True
-    top = info.sizes[-1] if info.sizes else 0
-    cur_win = ledger.plan_view(upgrade.job_id)[1:stop]
-    # The snapshot holds the ledger's availability by reference; the
-    # capacity the refill saw is snapshot + the job's own plan, which is
-    # unchanged while its proposal is in flight (Upgrade docstring).
-    then = np.minimum(np.maximum(upgrade.available[1:stop] + cur_win, 0), top)
-    now = np.minimum(
-        np.maximum(ledger.available()[1:stop] + cur_win, 0), top
-    )
-    return bool(np.array_equal(then, now))
 
 
 @mutates("Ledger._plans", "Ledger._used")
@@ -338,18 +311,18 @@ def allocate_leftover(
         actually executed before the next scheduling event).
     """
     by_id = {info.job_id: info for info in infos}
-    revalidate = cache_enabled()
-    if revalidate and batching_enabled():
+    if cache_enabled() and batching_enabled():
         return _allocate_chained(infos, by_id, ledger, slot_seconds)
 
+    # The paper-literal loop: every stale pop is rebuilt from scratch.
     # Ties on (priority, tiebreak) are broken by job id, NOT insertion
     # order: the order must be a property of the proposals themselves so
-    # that revalidating a stale proposal (fast path) and rebuilding it
-    # from scratch (cache-disabled path) pop jobs in the identical order.
+    # that revalidating a stale proposal (chain loop) and rebuilding it
+    # (this loop) pop jobs in the identical order.
     heap: list[tuple[float, float, str, Upgrade]] = []
 
-    def push(info: PlanningJob, old_cost: float | None = None) -> None:
-        upgrade = _propose(info, ledger, slot_seconds, old_cost)
+    def push(info: PlanningJob) -> None:
+        upgrade = _propose(info, ledger, slot_seconds)
         if upgrade is not None:
             heapq.heappush(
                 heap, (-upgrade.priority, upgrade.tiebreak, upgrade.job_id, upgrade)
@@ -361,18 +334,9 @@ def allocate_leftover(
     while heap and ledger.available_at(0) > 0:
         _, _, _, upgrade = heapq.heappop(heap)
         info = by_id[upgrade.job_id]
-        if upgrade.ledger_version != ledger.version and not (
-            revalidate and _still_valid(upgrade, info, ledger)
-        ):
-            push(info)  # genuinely stale: capacity it relied on is gone
-            continue
-        ledger.set_plan(info.job_id, upgrade.plan, trusted=True)
-        # The applied plan is now the job's current one, so its cost can
-        # carry into the follow-up proposal (the SLO branch would
-        # recompute the identical product; best-effort proposals never
-        # read it).  The carry is a memo, so the cache-disabled path
-        # recomputes instead.
-        push(info, upgrade.new_cost if revalidate else None)
+        if upgrade.ledger_version == ledger.version:
+            ledger.set_plan(info.job_id, upgrade.plan, trusted=True)
+        push(info)
 
     return {info.job_id: int(ledger.plan_view(info.job_id)[0]) for info in infos}
 
@@ -386,17 +350,18 @@ def _allocate_chained(
 ) -> dict[str, int]:
     """The chain-native upgrade loop (caches + batching on).
 
-    Decision-equivalent to the sequential loop above, pop for pop: the
-    heap holds the identical ``(-priority, tiebreak, job_id)`` total order
-    (one live proposal per job), and a stale pop is applied only when a
-    rebuild would reproduce it bit for bit — checked per proposal form
-    (see :class:`Upgrade`) — and reproposed otherwise.
+    Decision-equivalent to the paper-literal loop above: the heap holds
+    the identical ``(-priority, tiebreak, job_id)`` total order (one live
+    proposal per job), and a stale pop is applied only when a rebuild
+    would reproduce it bit for bit — the rebuilt proposal would pop next
+    anyway — checked per proposal form by :meth:`_LadderRows.still_valid`,
+    and reproposed otherwise.
     """
     rows = _LadderRows(ledger)
     heap: list[tuple[float, float, str, Upgrade]] = []
     heappush, heappop = heapq.heappush, heapq.heappop
     for info in infos:
-        upgrade = _propose(info, ledger, slot_seconds, None, rows)
+        upgrade = _propose(info, ledger, slot_seconds, rows)
         if upgrade is not None:
             heappush(heap, (-upgrade.priority, upgrade.tiebreak, info.job_id, upgrade))
 
@@ -409,7 +374,7 @@ def _allocate_chained(
         if upgrade.ledger_version != ledger.version:
             if not rows.still_valid(upgrade, info, ledger):
                 # Genuinely stale: the capacity it relied on is gone.
-                nxt = _propose(info, ledger, slot_seconds, None, rows)
+                nxt = _propose(info, ledger, slot_seconds, rows)
                 if nxt is not None:
                     heappush(heap, (-nxt.priority, nxt.tiebreak, job_id, nxt))
                 continue
@@ -421,7 +386,7 @@ def _allocate_chained(
         # With slot-0 capacity spent the follow-up would fail its slot-0
         # gate before doing any work, so skip building it.
         if rows.avail0 > 0:
-            nxt = _propose(info, ledger, slot_seconds, None, rows)
+            nxt = _propose(info, ledger, slot_seconds, rows)
             if nxt is not None:
                 heappush(heap, (-nxt.priority, nxt.tiebreak, job_id, nxt))
 

@@ -71,10 +71,12 @@ class JobSpec:
             raise ConfigurationError(
                 f"max_iterations must be >= 1, got {self.max_iterations}"
             )
-        if self.submit_time < 0:
+        if not (math.isfinite(self.submit_time) and self.submit_time >= 0):
             raise ConfigurationError(
-                f"submit_time must be >= 0, got {self.submit_time}"
+                f"submit_time must be finite and >= 0, got {self.submit_time}"
             )
+        if self.deadline is not None and math.isnan(self.deadline):
+            raise ConfigurationError("deadline must not be NaN")
         if self.deadline is not None and self.deadline <= self.submit_time:
             raise ConfigurationError(
                 f"deadline {self.deadline} must be after submit_time "

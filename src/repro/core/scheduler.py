@@ -315,7 +315,7 @@ class ElasticFlowPolicy(SchedulerPolicy):
         controller = self._controller(capacity)
         infos = self._infos(active, grid)
         mark = probe.lap("views", mark)
-        result = controller.plan_shares(infos, grid, stop_on_failure=False)
+        result = controller.plan_shares(infos, grid)
         mark = probe.lap("alg1", mark)
         decisions = allocate_leftover(infos, result.ledger, grid.slot_seconds)
         if self.stability_threshold > 0:

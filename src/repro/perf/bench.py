@@ -13,11 +13,13 @@ Four scales are available (``--scale``): ``quick`` (200 jobs / 1024 GPUs,
 the CI smoke), ``full`` (2000 / 1024, the recorded trajectory), ``mid``
 (5000 / 4096) and ``xl`` (20000 / 16384).  The two large scales model an
 Aryl/VirtualFlow-style large-model cluster (heavier requested-size mix, so
-the active set stays in the hundreds) and verify the batched solver against
-the *sequential* solver (``batched_solver_disabled``) instead of the
-cache-disabled reference, which is intractable at that size; the
-``reference_mode`` field records which yardstick produced
-``decisions_match``.
+the active set stays in the hundreds) and verify the ladder-table solvers
+against the paper-literal loops run on the cached tables
+(``batched_solver_disabled``) instead of the cache-disabled reference,
+which is intractable at that size; the ``reference_mode`` field records
+which yardstick produced ``decisions_match``.  The ``incremental`` block
+of each run reads Algorithm 1's memo and delta-walk counters from
+:mod:`repro.perf.probe`.
 
 Usage::
 
@@ -234,6 +236,16 @@ def _policy() -> ElasticFlowPolicy:
     )
 
 
+#: Report key of the ``incremental`` block -> the probe counter it reads.
+_INCREMENTAL_COUNTERS = {
+    "fill_cache_hits": "alg1_memo_hits",
+    "fill_cache_misses": "alg1_memo_misses",
+    "delta_hits": "alg1_delta_walks",
+    "delta_reuses": "alg1_delta_reuses",
+    "delta_refills": "alg1_delta_refills",
+}
+
+
 def _run_sim(
     n_jobs: int,
     seed: int,
@@ -259,19 +271,10 @@ def _run_sim(
     with probe.recording(recorder):
         result = sim.run()
     wall = time.perf_counter() - start
+    counters = probe.counters()
     incremental = {
-        "fill_cache_hits": 0,
-        "fill_cache_misses": 0,
-        "delta_hits": 0,
-        "delta_reuses": 0,
-        "delta_refills": 0,
+        key: counters.get(name, 0) for key, name in _INCREMENTAL_COUNTERS.items()
     }
-    for controller in policy._controllers.values():
-        incremental["fill_cache_hits"] += controller.fill_cache_hits
-        incremental["fill_cache_misses"] += controller.fill_cache_misses
-        incremental["delta_hits"] += controller.delta_hits
-        incremental["delta_reuses"] += controller.delta_reuses
-        incremental["delta_refills"] += controller.delta_refills
     metrics: dict[str, Any] = {
         "wall_s": wall,
         "events": result.events_processed,
@@ -279,7 +282,7 @@ def _run_sim(
         **_percentiles_ms(sim.event_latencies),
         "phases": _phase_summary(recorder.events, sim.event_latencies),
         "incremental": incremental,
-        "counters": probe.counters(),
+        "counters": counters,
     }
     return metrics, result
 
@@ -297,13 +300,14 @@ def bench_end_to_end(
 
     ``reference_mode`` picks the comparison run: ``"cache-disabled"`` is
     the from-scratch reference solver (the strongest yardstick), while
-    ``"sequential-solver"`` keeps the caches but disables the batched
-    multi-job solver — the tractable yardstick for the large scales.  The
-    comparison run's metrics keep the historical ``"uncached"`` key either
-    way so downstream readers need no schema branch.  With ``profile`` the
-    *cached* run executes under :mod:`cProfile` and the report gains a
-    ``profile`` key with the top cumulative hotspots; the default path
-    never touches the profiler, so it stays zero-overhead when off.
+    ``"sequential-solver"`` keeps the caches but runs the paper-literal
+    loops instead of the ladder-table solvers — the tractable yardstick
+    for the large scales.  The comparison run's metrics keep the
+    historical ``"uncached"`` key either way so downstream readers need
+    no schema branch.  With ``profile`` the *cached* run executes under
+    :mod:`cProfile` and the report gains a ``profile`` key with the top
+    cumulative hotspots; the default path never touches the profiler, so
+    it stays zero-overhead when off.
     """
     reset_cache()
     profiler: cProfile.Profile | None = None

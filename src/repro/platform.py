@@ -160,7 +160,7 @@ class ElasticFlowPlatform:
             A handle whose ``admitted`` property answers the admission
             decision immediately.
         """
-        if deadline_in is not None and deadline_in <= 0:
+        if deadline_in is not None and not deadline_in > 0:  # NaN fails too
             raise ConfigurationError(
                 f"deadline_in must be > 0 seconds, got {deadline_in}"
             )

@@ -167,7 +167,7 @@ class TestAdmissionController:
         controller = self.build(capacity=1)
         job_a = synthetic_planning_job("a", 3.0, 3.0, unit_grid, 1, {1: 1.0})
         job_b = synthetic_planning_job("b", 3.0, 3.5, unit_grid, 1, {1: 1.0})
-        result = controller.plan_shares([job_a, job_b], unit_grid, stop_on_failure=False)
+        result = controller.plan_shares([job_a, job_b], unit_grid)
         assert not result.admitted
         assert result.infeasible_job == "b"
         # Both jobs still have plans; b runs best-possible.

@@ -24,7 +24,7 @@ FIG_CURVE = {1: 1.0, 2: 1.5, 4: 2.0}
 def plan_and_allocate(infos, grid, capacity):
     """Run Algorithm 1 then Algorithm 2, as the scheduler does."""
     controller = AdmissionController(capacity)
-    result = controller.plan_shares(infos, grid, stop_on_failure=False)
+    result = controller.plan_shares(infos, grid)
     decisions = allocate_leftover(infos, result.ledger, grid.slot_seconds)
     return decisions, result.ledger
 
@@ -141,7 +141,7 @@ class TestOptimality:
     def brute_force_best(self, infos, grid, capacity):
         """Minimum total GPU-time over all maximal slot-0 expansions."""
         controller = AdmissionController(capacity)
-        base = controller.plan_shares(infos, grid, stop_on_failure=False)
+        base = controller.plan_shares(infos, grid)
         mins = {i.job_id: int(base.plans[i.job_id][0]) for i in infos}
         options = []
         for info in infos:

@@ -1,9 +1,11 @@
 """Tests for the chain-native Algorithm 2 upgrade loop.
 
 The default path (``_allocate_chained``) must be *decision-equivalent* to
-the sequential revalidating loop and to the cache-disabled reference —
-same final plans, bit for bit — because the escape hatches exist precisely
-to prove that.  The equivalence classes here run the identical scenario
+the paper-literal loop — same final plans, bit for bit — because the two
+switches exist precisely to prove that.  Both switches run that one loop
+(every stale pop rebuilt): ``batched_solver_disabled()`` on the cached
+tables and the 2-D scan (the yardstick), ``planning_cache_disabled()`` on
+rebuilt tables and the reference scan.  The equivalence classes here run the identical scenario
 under all three configurations and compare the full per-job plans; the
 differential class does the same over random ladders, throughput tables,
 windows, capacities and registered plans, and checks that the random
@@ -40,14 +42,18 @@ def run_algorithm2(make_infos, grid, capacity):
     """Algorithm 1 then Algorithm 2 on fresh views; returns final plans."""
     infos = make_infos()
     controller = AdmissionController(capacity)
-    result = controller.plan_shares(infos, grid, stop_on_failure=False)
+    result = controller.plan_shares(infos, grid)
     decisions = allocate_leftover(infos, result.ledger, grid.slot_seconds)
     plans = {info.job_id: result.ledger.plan_of(info.job_id) for info in infos}
     return decisions, plans
 
 
 def assert_three_way_equivalence(make_infos, grid, capacity):
-    """Chain loop == sequential solver == cache-disabled reference."""
+    """Chain loop == yardstick == cache-disabled reference.
+
+    The yardstick and the reference share the paper-literal outer loop of
+    each algorithm; they differ only in the fill scan and the tables.
+    """
     chain_decisions, chain_plans = run_algorithm2(make_infos, grid, capacity)
     with batched_solver_disabled():
         seq_decisions, seq_plans = run_algorithm2(make_infos, grid, capacity)
@@ -155,13 +161,9 @@ class TestPlateauLadder:
                 for i, work in enumerate(works)
             ]
 
-        fill = AdmissionController(capacity).plan_shares(
-            make(), grid, stop_on_failure=False
-        )
+        fill = AdmissionController(capacity).plan_shares(make(), grid)
         with planning_cache_disabled():
-            ref = AdmissionController(capacity).plan_shares(
-                make(), grid, stop_on_failure=False
-            )
+            ref = AdmissionController(capacity).plan_shares(make(), grid)
         assert fill.degraded == ref.degraded
         for job_id, plan in ref.plans.items():
             assert np.array_equal(fill.plans[job_id], plan), job_id
@@ -170,7 +172,7 @@ class TestPlateauLadder:
 
 # ------------------------------------------------------------ proposal forms
 def _sequential_proposal(info, ledger):
-    """What the sequential loop would propose (exact fill, no ladder rows)."""
+    """What the paper-literal loop would propose (exact fill, no ladder rows)."""
     return _propose(info, ledger, 1.0)
 
 
@@ -277,7 +279,7 @@ class TestEngineState:
             synthetic_planning_job("b", 3.0, 4.0, grid, 8, FIG_CURVE),
         ]
         controller = AdmissionController(6)
-        result = controller.plan_shares(infos, grid, stop_on_failure=False)
+        result = controller.plan_shares(infos, grid)
         probe.reset_counters()
         allocate_leftover(infos, result.ledger, 1.0)
         counters = probe.counters()
@@ -387,7 +389,7 @@ def _solve(instance):
     infos = make_infos()
     if plans is None:
         controller = AdmissionController(capacity)
-        ledger = controller.plan_shares(infos, grid, stop_on_failure=False).ledger
+        ledger = controller.plan_shares(infos, grid).ledger
     else:
         ledger = Ledger(capacity, grid.horizon)
         for job_id, plan in plans.items():
@@ -398,7 +400,8 @@ def _solve(instance):
 
 def assert_matches_reference(instance, result=None):
     """The chain loop's result (solved here unless given) equals both the
-    cache-disabled reference and the sequential loop."""
+    cache-disabled reference and the yardstick: the same paper-literal
+    loop on the reference scan and on the cached tables and 2-D scan."""
     decisions, plans = _solve(instance) if result is None else result
     with planning_cache_disabled():
         ref_decisions, ref_plans = _solve(instance)
@@ -460,7 +463,7 @@ class _Recorder:
 
         def still_valid(rows, upgrade, info, ledger):
             # Every stale proposal judged valid must be exactly what the
-            # sequential loop's from-scratch rebuild would propose.
+            # paper-literal loop's from-scratch rebuild would propose.
             valid = real_still_valid(rows, upgrade, info, ledger)
             if valid:
                 form = "unclamped" if upgrade.cap else (

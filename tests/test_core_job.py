@@ -56,6 +56,15 @@ class TestJobSpec:
         with pytest.raises(ConfigurationError):
             spec(submit_time=-1.0)
 
+    @pytest.mark.parametrize("submit_time", [math.nan, math.inf])
+    def test_non_finite_submit_rejected(self, submit_time):
+        with pytest.raises(ConfigurationError):
+            spec(submit_time=submit_time, deadline=None)
+
+    def test_nan_deadline_rejected(self):
+        with pytest.raises(ConfigurationError):
+            spec(deadline=math.nan)
+
 
 class TestJobLifecycle:
     def test_initial_state(self):

@@ -258,9 +258,9 @@ def _run_scenario(scenario, mode):
             infos.append(replace(info, tables_token=idx + 1))
         if mode == "reference":
             with planning_cache_disabled():
-                result = ctrl.plan_shares(infos, grid, stop_on_failure=False)
+                result = ctrl.plan_shares(infos, grid)
         else:
-            result = ctrl.plan_shares(infos, grid, stop_on_failure=False)
+            result = ctrl.plan_shares(infos, grid)
         outputs.append(
             (
                 {k: v.copy() for k, v in result.plans.items()},

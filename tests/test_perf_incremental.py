@@ -44,6 +44,11 @@ TRUE_MODEL = ThroughputModel()
 THR = {1: 1.0, 2: 1.8, 4: 3.0}
 
 
+def _count(name):
+    """One probe counter (absent counters read zero)."""
+    return probe.counters().get(name, 0)
+
+
 def tokened_job(
     job_id,
     remaining,
@@ -108,11 +113,11 @@ class TestRepeatedRounds:
     def test_identical_round_is_stable(self):
         policy = _bound_policy()
         jobs = _runtime_jobs()
+        probe.reset_counters()
         first = policy.allocate(jobs, 0.0)
         second = policy.allocate(jobs, 0.0)
         assert second == first
-        controller = next(iter(policy._controllers.values()))
-        assert controller.fill_cache_hits >= 1
+        assert _count("alg1_memo_hits") >= 1
         # Decision dicts are fresh objects: mutating one is harmless.
         second["j0"] = second.get("j0", 0) + 99
         assert policy.allocate(jobs, 0.0) == first
@@ -154,11 +159,10 @@ class TestDeltaFill:
         self.a = tokened_job("a", 2.0, 2.0, self.grid, 8, token=1)
         self.b = tokened_job("b", 6.0, 4.0, self.grid, 8, token=2)
         self.c = tokened_job("c", 8.0, 6.0, self.grid, 8, token=3)
+        probe.reset_counters()
 
     def _cold(self, infos):
-        return AdmissionController(8)._fill(
-            infos, self.grid, stop_on_failure=False
-        )
+        return AdmissionController(8).plan_shares(infos, self.grid)
 
     def _assert_matches_cold(self, result, infos):
         cold = self._cold(infos)
@@ -172,28 +176,24 @@ class TestDeltaFill:
 
     def test_departure_reuses_the_unaffected_prefix(self):
         ctrl = AdmissionController(8)
-        first = ctrl.plan_shares([self.a, self.b, self.c], self.grid,
-                                 stop_on_failure=False)
-        assert ctrl.delta_hits == 0
-        second = ctrl.plan_shares([self.a, self.c], self.grid,
-                                  stop_on_failure=False)
-        assert ctrl.delta_hits == 1
+        first = ctrl.plan_shares([self.a, self.b, self.c], self.grid)
+        assert _count("alg1_delta_walks") == 0
+        second = ctrl.plan_shares([self.a, self.c], self.grid)
+        assert _count("alg1_delta_walks") == 1
         # `a` precedes the departure: watermark-reused by reference.  `c`
         # sits behind the freed capacity, so it refills.
         assert second.plans["a"] is first.plans["a"]
-        assert ctrl.delta_reuses == 1 and ctrl.delta_refills == 1
+        assert _count("alg1_delta_reuses") == 1 and _count("alg1_delta_refills") == 1
         self._assert_matches_cold(second, [self.a, self.c])
 
     def test_arrival_refills_only_the_suffix(self):
         ctrl = AdmissionController(8)
-        first = ctrl.plan_shares([self.a, self.c], self.grid,
-                                 stop_on_failure=False)
-        second = ctrl.plan_shares([self.a, self.b, self.c], self.grid,
-                                  stop_on_failure=False)
-        assert ctrl.delta_hits == 1
+        first = ctrl.plan_shares([self.a, self.c], self.grid)
+        second = ctrl.plan_shares([self.a, self.b, self.c], self.grid)
+        assert _count("alg1_delta_walks") == 1
         assert second.plans["a"] is first.plans["a"]
         # The arrival and `c`, which sits behind the new plan, refill.
-        assert ctrl.delta_reuses == 1 and ctrl.delta_refills == 2
+        assert _count("alg1_delta_reuses") == 1 and _count("alg1_delta_refills") == 2
         self._assert_matches_cold(second, [self.a, self.b, self.c])
 
     @pytest.mark.parametrize(
@@ -208,61 +208,52 @@ class TestDeltaFill:
     )
     def test_view_change_refills_the_changed_job(self, mutate):
         ctrl = AdmissionController(8)
-        first = ctrl.plan_shares([self.a, self.b, self.c], self.grid,
-                                 stop_on_failure=False)
+        first = ctrl.plan_shares([self.a, self.b, self.c], self.grid)
         b2 = mutate(self.b)
-        second = ctrl.plan_shares([self.a, b2, self.c], self.grid,
-                                  stop_on_failure=False)
-        assert ctrl.delta_hits == 1
+        second = ctrl.plan_shares([self.a, b2, self.c], self.grid)
+        assert _count("alg1_delta_walks") == 1
         assert second.plans["a"] is first.plans["a"]
         self._assert_matches_cold(second, [self.a, b2, self.c])
 
     def test_deadline_change_is_departure_plus_arrival(self):
         ctrl = AdmissionController(8)
-        ctrl.plan_shares([self.a, self.b, self.c], self.grid,
-                         stop_on_failure=False)
+        ctrl.plan_shares([self.a, self.b, self.c], self.grid)
         b2 = tokened_job("b", 6.0, 5.0, self.grid, 8, token=2)
-        second = ctrl.plan_shares([self.a, b2, self.c], self.grid,
-                                  stop_on_failure=False)
-        assert ctrl.delta_hits == 1
+        second = ctrl.plan_shares([self.a, b2, self.c], self.grid)
+        assert _count("alg1_delta_walks") == 1
         self._assert_matches_cold(second, [self.a, b2, self.c])
 
     def test_best_effort_jobs_stay_zero(self):
         ctrl = AdmissionController(8)
         be = tokened_job("be", 4.0, float("inf"), self.grid, 8,
                          token=4, best_effort=True)
-        ctrl.plan_shares([self.a, self.b, be], self.grid,
-                         stop_on_failure=False)
-        second = ctrl.plan_shares([self.a, be], self.grid,
-                                  stop_on_failure=False)
-        assert ctrl.delta_hits == 1
+        ctrl.plan_shares([self.a, self.b, be], self.grid)
+        second = ctrl.plan_shares([self.a, be], self.grid)
+        assert _count("alg1_delta_walks") == 1
         assert not second.plans["be"].any() and not be.degraded
         self._assert_matches_cold(second, [self.a, be])
 
     def test_degraded_flag_survives_reuse(self):
         ctrl = AdmissionController(8)
         hopeless = tokened_job("hopeless", 100.0, 1.0, self.grid, 8, token=5)
-        first = ctrl.plan_shares([hopeless, self.c], self.grid,
-                                 stop_on_failure=False)
+        first = ctrl.plan_shares([hopeless, self.c], self.grid)
         assert first.degraded == {"hopeless"}
         c2 = replace(self.c, remaining_iterations=7.0)
-        second = ctrl.plan_shares([hopeless, c2], self.grid,
-                                  stop_on_failure=False)
-        assert ctrl.delta_hits == 1 and ctrl.delta_reuses == 1
+        second = ctrl.plan_shares([hopeless, c2], self.grid)
+        assert _count("alg1_delta_walks") == 1 and _count("alg1_delta_reuses") == 1
         assert hopeless.degraded and second.degraded == {"hopeless"}
         assert not second.admitted and second.infeasible_job == "hopeless"
         self._assert_matches_cold(second, [hopeless, c2])
 
     def test_grid_change_falls_back_to_full_fill(self):
         ctrl = AdmissionController(8)
-        ctrl.plan_shares([self.a, self.b], self.grid, stop_on_failure=False)
+        ctrl.plan_shares([self.a, self.b], self.grid)
         shifted = SlotGrid(origin=1.0, slot_seconds=1.0, horizon=6)
         a2 = tokened_job("a", 2.0, 3.0, shifted, 8, token=1)
         b2 = tokened_job("b", 6.0, 5.0, shifted, 8, token=2)
-        result = ctrl.plan_shares([a2, b2], shifted, stop_on_failure=False)
-        assert ctrl.delta_hits == 0  # retained fill was for another grid
-        cold = AdmissionController(8)._fill([a2, b2], shifted,
-                                            stop_on_failure=False)
+        result = ctrl.plan_shares([a2, b2], shifted)
+        assert _count("alg1_delta_walks") == 0  # retained fill was for another grid
+        cold = AdmissionController(8).plan_shares([a2, b2], shifted)
         assert _plans_equal(result.plans, cold.plans)
 
     def test_saturated_window_refill_matches_cold(self):
@@ -272,29 +263,24 @@ class TestDeltaFill:
         b = tokened_job("b", 6.0, 4.0, self.grid, 5, token=2)
         c = tokened_job("c", 8.0, 6.0, self.grid, 5, token=3)
         ctrl = AdmissionController(5)
-        ctrl.plan_shares([a, b, c], self.grid, stop_on_failure=False)
-        second = ctrl.plan_shares([a, c], self.grid, stop_on_failure=False)
-        assert ctrl.delta_reuses == 1 and ctrl.delta_refills == 1
-        cold = AdmissionController(5)._fill([a, c], self.grid,
-                                            stop_on_failure=False)
+        ctrl.plan_shares([a, b, c], self.grid)
+        second = ctrl.plan_shares([a, c], self.grid)
+        assert _count("alg1_delta_reuses") == 1 and _count("alg1_delta_refills") == 1
+        cold = AdmissionController(5).plan_shares([a, c], self.grid)
         assert _plans_equal(second.plans, cold.plans)
 
     def test_departure_delta_matches_sequential_solver(self):
         # The delta walk and the sequential yardstick (which re-solves
         # every fill cold) must agree bit for bit on the same sequence.
         batched = AdmissionController(8)
-        batched.plan_shares([self.a, self.b, self.c], self.grid,
-                            stop_on_failure=False)
-        fast = batched.plan_shares([self.a, self.c], self.grid,
-                                   stop_on_failure=False)
-        assert batched.delta_hits == 1
+        batched.plan_shares([self.a, self.b, self.c], self.grid)
+        fast = batched.plan_shares([self.a, self.c], self.grid)
+        assert _count("alg1_delta_walks") == 1
         with batched_solver_disabled():
             sequential = AdmissionController(8)
-            sequential.plan_shares([self.a, self.b, self.c], self.grid,
-                                   stop_on_failure=False)
-            slow = sequential.plan_shares([self.a, self.c], self.grid,
-                                          stop_on_failure=False)
-        assert sequential.delta_hits == 0
+            sequential.plan_shares([self.a, self.b, self.c], self.grid)
+            slow = sequential.plan_shares([self.a, self.c], self.grid)
+        assert _count("alg1_delta_walks") == 1  # the yardstick never walks
         assert _plans_equal(fast.plans, slow.plans)
         assert fast.degraded == slow.degraded
         assert np.array_equal(fast.ledger.used, slow.ledger.used)
@@ -302,9 +288,9 @@ class TestDeltaFill:
     def test_exact_repeat_prefers_the_fill_memo(self):
         ctrl = AdmissionController(8)
         infos = [self.a, self.b, self.c]
-        first = ctrl.plan_shares(infos, self.grid, stop_on_failure=False)
-        second = ctrl.plan_shares(infos, self.grid, stop_on_failure=False)
-        assert ctrl.fill_cache_hits == 1 and ctrl.delta_hits == 0
+        first = ctrl.plan_shares(infos, self.grid)
+        second = ctrl.plan_shares(infos, self.grid)
+        assert _count("alg1_memo_hits") == 1 and _count("alg1_delta_walks") == 0
         assert _plans_equal(first.plans, second.plans)
         assert second.plans["a"] is first.plans["a"]  # shared, not copied
 
@@ -552,7 +538,7 @@ def test_disrupted_trace_equivalence_and_reuse():
     # The incremental layers actually carried load on the cached run.
     controllers = list(policy._controllers.values())
     assert len(controllers) >= 2  # healthy and degraded capacities
-    assert sum(c.fill_cache_hits for c in controllers) > 0
-    assert sum(c.delta_hits for c in controllers) > 0
-    assert sum(c.delta_reuses for c in controllers) > 0
+    assert counters["alg1_memo_hits"] > 0
+    assert counters["alg1_delta_walks"] > 0
+    assert counters["alg1_delta_reuses"] > 0
     assert counters["alg1_fast_accepts"] > 0

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.cluster.topology import ClusterSpec
 from repro.core.scheduler import ElasticFlowPolicy
 from repro.core.slots import SlotGrid
+from repro.perf import probe
 from repro.perf.tables import batched_solver_disabled, reset_cache
 from repro.profiles import ThroughputModel
 from repro.sim.engine import Simulator
@@ -159,18 +160,14 @@ class TestEventRowStore:
         ids = ["j0", "j1", "j2", "j3"]
         # Event 1: the cold fill builds one table per job and stamps the
         # store with this event's key.
-        ctrl.plan_shares(
-            self._infos(grid1, ids, 5.0, 4.0), grid1, stop_on_failure=False
-        )
+        ctrl.plan_shares(self._infos(grid1, ids, 5.0, 4.0), grid1)
         assert ctrl._event_key is not None and ctrl._event_key[0] == 0.0
         first = dict(ctrl._ladders)
         assert len(first) == len(ids)
         # Event 2 (new origin): the store resets before reuse, so no stale
         # table built against the old weights can ever be read.
         grid2 = SlotGrid(origin=0.5, slot_seconds=1.0, horizon=8)
-        ctrl.plan_shares(
-            self._infos(grid2, ids, 5.0, 4.0), grid2, stop_on_failure=False
-        )
+        ctrl.plan_shares(self._infos(grid2, ids, 5.0, 4.0), grid2)
         assert ctrl._event_key[0] == 0.5
         assert len(ctrl._ladders) == len(ids)
         assert all(ctrl._ladders[key] is not first[key] for key in first)
@@ -185,12 +182,10 @@ class TestEventRowStore:
         ctrl = AdmissionController(self.CAPACITY)
         grid1 = SlotGrid(origin=0.0, slot_seconds=1.0, horizon=8)
         ids = ["j0", "j1", "j2", "j3"]
-        ctrl.plan_shares(
-            self._infos(grid1, ids, 5.0, 4.0), grid1, stop_on_failure=False
-        )
+        ctrl.plan_shares(self._infos(grid1, ids, 5.0, 4.0), grid1)
         grid2 = SlotGrid(origin=0.5, slot_seconds=1.0, horizon=8)
         baseline = self._infos(grid2, ids, 5.0, 4.0)
-        ctrl.plan_shares(baseline, grid2, stop_on_failure=False)
+        ctrl.plan_shares(baseline, grid2)
         # Arrival trial at the same event: an earlier-deadline candidate
         # perturbs the suffix, forcing refills of the jobs whose rows the
         # baseline fill just solved.
@@ -201,8 +196,11 @@ class TestEventRowStore:
             tables_token=50,
         )
         trial_infos = [arrival] + self._infos(grid2, ids, 5.0, 4.0)
-        trial = ctrl.plan_shares(trial_infos, grid2, stop_on_failure=False)
-        assert ctrl.delta_fast_accepts > 0, (
+        probe.reset_counters()
+        trial = ctrl.plan_shares(trial_infos, grid2)
+        counters = probe.counters()
+        assert counters.get("alg1_delta_walks") == 1
+        assert counters.get("alg1_fast_accepts", 0) > 0, (
             "the trial delta never hit the ladder fast accept; the "
             "scenario no longer exercises the reuse tier"
         )
@@ -217,10 +215,13 @@ class TestEventRowStore:
                 tables_token=50,
             )
         ] + self._infos(grid2, ids, 5.0, 4.0)
+        probe.reset_counters()
         with batched_solver_disabled():
             cold_ctrl = AdmissionController(self.CAPACITY)
-            cold = cold_ctrl.plan_shares(cold_infos, grid2, stop_on_failure=False)
-        assert cold_ctrl.delta_hits == 0 and not cold_ctrl._ladders
+            cold = cold_ctrl.plan_shares(cold_infos, grid2)
+        counters = probe.counters()
+        assert "alg1_delta_walks" not in counters
+        assert "alg1_fast_accepts" not in counters and not cold_ctrl._ladders
         assert set(trial.plans) == set(cold.plans)
         for job_id, plan in cold.plans.items():
             assert np.array_equal(trial.plans[job_id], plan), job_id

@@ -90,6 +90,20 @@ class TestSubmission:
                 max_iterations=100, deadline_in=0.0,
             )
 
+    def test_nan_deadline_rejected(self):
+        with pytest.raises(ConfigurationError):
+            platform().submit(
+                model_name="bert", global_batch_size=64,
+                max_iterations=100, deadline_in=float("nan"),
+            )
+
+    def test_infinite_deadline_is_best_effort(self):
+        handle = platform().submit(
+            model_name="bert", global_batch_size=64,
+            max_iterations=100, deadline_in=float("inf"),
+        )
+        assert handle.admitted
+
     def test_unknown_handle_rejected(self):
         with pytest.raises(SchedulingError):
             platform().handle("ghost")
