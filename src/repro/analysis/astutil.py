@@ -3,8 +3,8 @@
 The interprocedural engine (:mod:`repro.analysis.callgraph`,
 :mod:`repro.analysis.effects`) and several rule modules need the same
 small vocabulary: reading decorator calls, flattening dotted call paths,
-classifying ``@coherent`` dependency strings, and recognising in-place
-mutation syntax.  Keeping those here (and not in a rule module) lets the
+the ``frozen`` dependency marker, and recognising in-place mutation
+syntax.  Keeping those here (and not in a rule module) lets the
 engine stay importable without touching :mod:`repro.analysis.rules` —
 rules import the engine, never the other way round.
 """
@@ -13,17 +13,12 @@ from __future__ import annotations
 
 import ast
 
-from repro.perf.coherence import parse_dependency
-
 __all__ = [
     "CONSTRUCTORS",
     "DECISION_SCOPE",
     "FROZEN",
     "MUTATING_METHODS",
-    "VERIFIED",
     "decorator_call",
-    "dep_kind",
-    "dep_verifiers",
     "dotted",
     "string_args",
     "string_keywords",
@@ -38,11 +33,6 @@ MUTATING_METHODS = {
 
 #: The ``@coherent`` dependency kind meaning "never mutate after init".
 FROZEN = "frozen"
-
-#: The ``@coherent`` dependency kind for advisory state re-checked against
-#: ground truth at every point of use (optionally ``"verified:<fn>"`` with
-#: a declared verifier — see :func:`repro.perf.coherence.parse_dependency`).
-VERIFIED = "verified"
 
 #: Methods allowed to touch coherent fields without a declaration: object
 #: construction, which by definition precedes any derived cache.
@@ -94,19 +84,3 @@ def dotted(node: ast.AST) -> str | None:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
-
-
-def dep_kind(dependency: str) -> str:
-    """Classify one ``@coherent`` dependency string.
-
-    Returns ``"frozen"``, ``"verified"`` or ``"hook"`` (the default:
-    the string names an invalidation-registry entry).
-    """
-    kind, _ = parse_dependency(dependency)
-    return kind
-
-
-def dep_verifiers(dependency: str) -> tuple[str, ...]:
-    """Declared verifier names of a ``"verified:<fn>[,<fn>...]"`` string."""
-    _, verifiers = parse_dependency(dependency)
-    return verifiers

@@ -5,7 +5,7 @@ place (directly or through any callee), which coherent fields it mutates
 transitively, whether it creates or returns ambient (unseeded)
 randomness — computed to a fixpoint over the
 :class:`repro.analysis.callgraph.CallGraph`.  The interprocedural rules
-(IP001–IP005) consume these summaries; the hypothesis test in
+(IP001–IP004) consume these summaries; the hypothesis test in
 ``tests/test_analysis_callgraph.py`` checks them against a brute-force
 graph interpreter on randomly generated module sets.
 

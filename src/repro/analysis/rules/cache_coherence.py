@@ -15,7 +15,6 @@ import ast
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from repro.analysis.astutil import dep_kind
 from repro.analysis.context import FileContext
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.registry import Rule, register, walk_scope
@@ -37,16 +36,6 @@ _MUTATING_METHODS = {
 
 #: The ``@coherent`` dependency name meaning "never mutate after init".
 _FROZEN = "frozen"
-
-#: The ``@coherent`` dependency name for advisory state that is re-checked
-#: against ground truth at every point of use (e.g. a store of cap hints):
-#: stale entries cost time, never correctness, so declared mutators carry
-#: no invalidation obligation.  CC002 still requires the ``@mutates``
-#: declaration — the *intent* to mutate stays explicit.  The declaration
-#: may name the verifier(s) — ``"verified:caps_fresh"`` — which
-#: the interprocedural rule IP005 checks; here only the kind matters, so
-#: all comparisons go through :func:`repro.analysis.astutil.dep_kind`.
-_VERIFIED = "verified"
 
 #: Methods allowed to touch coherent fields without a declaration: object
 #: construction, which by definition precedes any derived cache.
@@ -384,17 +373,13 @@ class MutatorHookRule(_CCRuleBase):
                             f"class does not declare via @coherent(...)",
                         )
                         continue
-                    if dep_kind(dependency) == _FROZEN:
+                    if dependency == _FROZEN:
                         yield ctx.finding(
                             item,
                             self.rule_id,
                             f"{decl.name}.{field_name} is declared frozen; "
                             f"no mutator may exist for it",
                         )
-                        continue
-                    if dep_kind(dependency) == _VERIFIED:
-                        # Advisory state, re-validated at use: the declared
-                        # mutator discharges nothing.
                         continue
                     if dependency in self_provided:
                         continue  # the method IS the invalidation point
@@ -473,16 +458,10 @@ class UndeclaredMutationRule(_CCRuleBase):
                     if field_name in declared:
                         continue
                     dependency = decl.coherent_fields[field_name]
-                    if dep_kind(dependency) == _FROZEN:
+                    if dependency == _FROZEN:
                         hint = (
                             "the field is frozen: move the mutation into "
                             "construction"
-                        )
-                    elif dep_kind(dependency) == _VERIFIED:
-                        hint = (
-                            f"the field is advisory (verified at use): "
-                            f"decorate the method with "
-                            f"@mutates({field_name!r})"
                         )
                     else:
                         hint = (

@@ -5,9 +5,8 @@ textually mutates ``self._field`` must declare it and discharge the
 invalidation hook.  What the local view cannot see is everything the
 cache stack now leans on: a helper that mutates through a *call* to a
 declared mutator, a ``trusted=True`` shared plan array that some alias
-scribbles on three frames later, an escape hatch nothing can reach, an
-unseeded generator smuggled across a module boundary, or ``verified``
-state that is read without ever being re-proved.  These rules consume
+scribbles on three frames later, an escape hatch nothing can reach, or an
+unseeded generator smuggled across a module boundary.  These rules consume
 the whole-program view (:mod:`repro.analysis.callgraph` /
 :mod:`repro.analysis.effects`) built in the *prepare* phase and stage
 findings per file for the *check* phase.
@@ -22,9 +21,7 @@ from pathlib import Path
 from repro.analysis.astutil import (
     CONSTRUCTORS,
     DECISION_SCOPE,
-    VERIFIED,
-    dep_kind,
-    dep_verifiers,
+    FROZEN,
     dotted,
 )
 from repro.analysis.callgraph import CallGraph, CallSite, FunctionInfo, bind_args
@@ -39,7 +36,6 @@ __all__ = [
     "SharedPlanAliasMutationRule",
     "DeadEscapeHatchRule",
     "AmbientRngCrossingRule",
-    "UnprovenVerifiedReadRule",
 ]
 
 #: Call names whose arguments are adopted by reference into a cache.
@@ -100,9 +96,8 @@ class UndeclaredTransitiveMutationRule(_StagedRule):
     provider of the field's dependency, or be the owning class's
     constructor.  Dotted declarations are *terminal* — they document the
     transitive mutation without creating a fresh obligation in their own
-    callers, so the chain does not cascade to the CLI.  ``frozen`` and
-    ``verified`` dependencies carry no invalidation obligation and are
-    exempt.
+    callers, so the chain does not cascade to the CLI.  ``frozen``
+    dependencies carry no invalidation obligation and are exempt.
     """
 
     rule_id = "IP001"
@@ -130,7 +125,7 @@ class UndeclaredTransitiveMutationRule(_StagedRule):
                     if "." in field_name:
                         continue  # dotted declarations are terminal
                     dependency = owner.coherent_fields.get(field_name)
-                    if dependency is None or dep_kind(dependency) != "hook":
+                    if dependency is None or dependency == FROZEN:
                         continue
                     if dependency in callee.invalidates:
                         continue  # the callee invalidates as it mutates
@@ -498,98 +493,3 @@ class AmbientRngCrossingRule(_StagedRule):
                 f"'{param}' of {callee_qual}; decisions fed by it are "
                 f"unreproducible — thread a seeded Generator instead",
             )
-
-
-@register
-class UnprovenVerifiedReadRule(_StagedRule):
-    """IP005: ``verified`` state is only as good as its last proof.
-
-    A ``@coherent`` field of kind ``"verified:<fn>"`` names the method
-    that re-proves the cached state against ground truth (e.g.
-    ``caps_fresh`` for a store of cap hints).  The contract is
-    that *every* consuming read re-proves first; a read path that skips
-    the verifier quietly promotes advisory state to trusted state.  This
-    rule flags any method of the owning class that reads the field
-    without (transitively) calling a declared verifier.  Constructors,
-    declared mutators, the verifiers themselves, and bare accessors
-    (``return self._field``, which merely re-export the advisory value)
-    are exempt.  Plain ``"verified"`` without a named verifier is not
-    checked — there is nothing to prove against.
-    """
-
-    rule_id = "IP005"
-    title = "verified coherent field read without re-proof"
-    severity = Severity.ERROR
-
-    def prepare(self, program: Program) -> None:
-        graph = program.callgraph
-        effects = program.effects
-        for class_info in graph.classes.values():
-            for field_name, dependency in class_info.coherent_fields.items():
-                if dep_kind(dependency) != VERIFIED:
-                    continue
-                verifiers = set(dep_verifiers(dependency))
-                if not verifiers:
-                    continue
-                for method_name, qualname in class_info.methods.items():
-                    if method_name in CONSTRUCTORS or method_name in verifiers:
-                        continue
-                    func = graph.functions.get(qualname)
-                    if func is None:
-                        continue
-                    if (
-                        field_name in func.mutates
-                        or f"{class_info.name}.{field_name}" in func.mutates
-                    ):
-                        continue
-                    reads = _self_field_reads(func.node, field_name)
-                    if not reads:
-                        continue
-                    if _is_bare_accessor(func.node, field_name):
-                        continue
-                    if effects.reaches_call(qualname, verifiers):
-                        continue
-                    self._stage(
-                        program,
-                        func.path,
-                        reads[0],
-                        f"{class_info.name}.{method_name}() reads verified "
-                        f"field '{field_name}' without re-proving it via "
-                        f"{' or '.join(sorted(verifiers))}()",
-                    )
-
-
-def _self_field_reads(
-    func_node: ast.FunctionDef | ast.AsyncFunctionDef, field_name: str
-) -> list[ast.Attribute]:
-    return [
-        node
-        for node in walk_scope(func_node)
-        if isinstance(node, ast.Attribute)
-        and isinstance(node.ctx, ast.Load)
-        and node.attr == field_name
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ]
-
-
-def _is_bare_accessor(
-    func_node: ast.FunctionDef | ast.AsyncFunctionDef, field_name: str
-) -> bool:
-    body = list(func_node.body)
-    if (
-        body
-        and isinstance(body[0], ast.Expr)
-        and isinstance(body[0].value, ast.Constant)
-        and isinstance(body[0].value.value, str)
-    ):
-        body = body[1:]
-    if len(body) != 1 or not isinstance(body[0], ast.Return):
-        return False
-    value = body[0].value
-    return (
-        isinstance(value, ast.Attribute)
-        and value.attr == field_name
-        and isinstance(value.value, ast.Name)
-        and value.value.id == "self"
-    )

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -27,12 +26,7 @@ from repro.errors import ConfigurationError
 from repro.numeric import EPS
 from repro.perf.coherence import coherent, keyed, mutates
 from repro.perf import probe
-from repro.perf.tables import (
-    batching_enabled,
-    cache_enabled,
-    planning_tables_for,
-    tables_global_revision,
-)
+from repro.perf.tables import batching_enabled, cache_enabled, planning_tables_for
 from repro.profiles.throughput import ScalingCurve
 
 __all__ = [
@@ -73,10 +67,10 @@ class PlanningJob:
     dependency: the persistent planning frame
     (``repro.core.scheduler._PlanningFrame``) rewrites them in place on
     every refresh through its declared mutator, which re-seeds the
-    per-view window memo in the same step so no derived state can
-    survive the inputs it was derived from.  Everywhere else these
-    fields are read-only.  Only ``degraded`` and ``min_share_plan`` are
-    free mutable working state.
+    per-view window memo and drops the per-view ladder tables in the same
+    step, so no derived state can survive the inputs it was derived from.
+    Everywhere else these fields are read-only.  Only ``degraded`` and
+    ``min_share_plan`` are free mutable working state.
 
     Attributes:
         job_id: The job's identifier.
@@ -191,9 +185,13 @@ def planning_job(
             checkpoint/restore stalls the executor charges.  The true
             deadline still decides whether the job ultimately met it.
     """
-    if safety_margin < 0:
-        raise ConfigurationError(f"safety_margin must be >= 0, got {safety_margin}")
-    if deadline_padding_s < 0:
+    # Written as ``not (...)`` so NaN, which fails every comparison, is
+    # rejected too; an infinite margin would silently reject every job.
+    if not 0 <= safety_margin < math.inf:
+        raise ConfigurationError(
+            f"safety_margin must be finite and >= 0, got {safety_margin}"
+        )
+    if not deadline_padding_s >= 0:
         raise ConfigurationError(
             f"deadline_padding_s must be >= 0, got {deadline_padding_s}"
         )
@@ -351,10 +349,21 @@ def ladder_rows(info: PlanningJob, start: int) -> LadderTable:
     The rows are bit-identical to the scan's and frozen, because one
     table serves many fills by reference (``docs/performance.md``, "One
     ladder table").
+
+    Memoized per view and ``start``, like :meth:`PlanningJob.window`:
+    the table depends only on ``weights`` and the frozen tables, and the
+    planning frame drops the memo whenever it rewrites the weights.
     """
+    tables = info.__dict__.get("_ladder_tables")
+    if tables is None:
+        tables = info.__dict__["_ladder_tables"] = {}
+    table = tables.get(start)
+    if table is not None:
+        return table
     stop = start + info.window(start)
     if stop == start or not info.sizes:
-        return stop, (), [], np.empty((0, 0))
+        table = tables[start] = (stop, (), [], np.empty((0, 0)))
+        return table
     # The distinct ladder is a function of the frozen tables: once per view.
     ladder = info.__dict__.get("_ladder")
     if ladder is None:
@@ -366,7 +375,8 @@ def ladder_rows(info: PlanningJob, start: int) -> LadderTable:
     caps, thr = ladder
     rows = np.cumsum(thr * info.weights[start:stop], axis=1)
     rows.flags.writeable = False
-    return stop, caps, rows[:, -1].tolist(), rows
+    table = tables[start] = (stop, caps, rows[:, -1].tolist(), rows)
+    return table
 
 
 def _emit_plan(
@@ -479,65 +489,64 @@ class AdmissionResult:
 
 
 @dataclass
-class _RetainedFill:
-    """The previous fill, kept for the event-delta replanning path.
+class _PreviousFill:
+    """The controller's last fingerprinted fill.
+
+    Replayed when the next fill's fingerprint equals ``key``, and walked
+    against (:meth:`AdmissionController._walk`) when only the grid part
+    ``key[:3]`` does.  Plans are frozen at registration time and ``used``
+    is never edited in place, so all of them are kept by reference.
 
     Attributes:
-        grid_key: ``(origin, slot_seconds, horizon)`` of the grid the fill
-            ran on — a delta is only attempted on the identical grid.
+        key: The fill's fingerprint (see ``_fingerprint``).
         order: The SLO jobs in fill order, each as
             ``(deadline, job_id, remaining_iterations, tables_token)``.
-        plans: Plan per SLO job id (frozen arrays, shared by reference with
-            the ledger the fill produced).
-        degraded: SLO jobs whose deadlines were unmeetable in that fill.
+        plans: Plan per job id, best-effort zero plans included.
+        degraded: Jobs whose deadlines were unmeetable in that fill.
+        admitted: The fill's verdict.
+        infeasible: The first infeasible job, if any.
+        used: The fill's occupancy vector.
     """
 
-    grid_key: tuple[float, float, int]
+    key: tuple
     order: list[tuple[float, str, float, int]]
     plans: dict[str, np.ndarray]
     degraded: frozenset[str]
+    admitted: bool
+    infeasible: str | None
+    used: np.ndarray
 
 
-@keyed(_fill_cache="_fingerprint", _retained="_fingerprint")
+@keyed(_previous="_fingerprint")
 class AdmissionController:
     """Algorithm 1: deadline-ordered progressive filling over all jobs.
 
-    The controller memoizes complete ``plan_shares`` fills keyed by a
+    The controller keeps its previous fill (``_previous``), keyed by a
     fingerprint of the participating jobs and the grid: on every
-    scheduling event the policy runs Algorithm 1 two to three times over
-    the identical job set (admission baseline, admission trial, then the
-    allocation pass), and all but the first are replayed from the cache.
+    scheduling event the policy runs Algorithm 1 two to three times
+    (admission baseline, admission trial, then the allocation pass), and
+    a fill whose fingerprint equals the previous one is replayed.
     Fingerprints include each job's planning-table token, so a throughput
     correction (online profiling) automatically invalidates dependent
-    fills.  The cache is bypassed entirely while
+    fills.  The previous fill is bypassed entirely while
     :func:`repro.perf.tables.planning_cache_disabled` is active or when any
     job carries a hand-built table (token ``-1``).
 
-    Memo misses run the commit walk (:meth:`_walk`), which reuses plans
-    from ``_retained`` — the previous fill, same ``_fingerprint``
-    key discipline — when the next fill runs on the same grid, and
-    fast-accepts unclamped fills from each job's :func:`ladder_rows`
-    table.  ``_ladders`` holds those tables for one scheduling event,
-    keyed ``(job_id, tables_token)``: it resets whenever the grid or the
-    planning-table revision moves, and a lookup re-checks the window.
-    Memo hits and misses and the walk's reuses and refills are counted
-    in :mod:`repro.perf.probe` (``alg1_memo_*``, ``alg1_delta_*``).
+    Any other fill runs the commit walk (:meth:`_walk`), which reuses
+    plans from the previous fill when it ran on the same grid and
+    fast-accepts unclamped fills from each view's :func:`ladder_rows`
+    table.  Replays and walks are counted in :mod:`repro.perf.probe`
+    (``alg1_memo_*``, ``alg1_delta_*``).
 
     Args:
         capacity: Number of GPUs in the cluster.
     """
 
-    #: Bound on remembered fills; LRU-evicted beyond this.
-    FILL_CACHE_LIMIT = 128
-
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._fill_cache: OrderedDict[tuple, tuple] = OrderedDict()
-        self._retained: _RetainedFill | None = None
-        self._ladders: dict[tuple[str, int], LadderTable] = {}
-        self._event_key: tuple[float, float, int, int] | None = None
+        self._previous: _PreviousFill | None = None
 
     # ------------------------------------------------------------- caching
     def _fingerprint(
@@ -566,32 +575,31 @@ class AdmissionController:
 
     @mutates("Ledger._plans", "Ledger._used")
     def _replay(
-        self, infos: list[PlanningJob], grid: SlotGrid, cached: tuple
+        self, infos: list[PlanningJob], grid: SlotGrid, previous: _PreviousFill
     ) -> AdmissionResult:
-        """Reconstruct a fill from the cache, including info side effects.
+        """Reconstruct the previous fill, including info side effects.
 
-        Cached plans *and* the cached occupancy vector are frozen arrays,
-        so the replay shares them by reference — one ``load_plans`` bulk
+        Its plans *and* its occupancy vector are frozen arrays, so the
+        replay shares them by reference — one ``load_plans`` bulk
         restore, no per-job column summation (the ledger's mutators rebind
         ``_used`` instead of writing in place, so adopting the shared
         read-only vector is safe even though Algorithm 2 edits the ledger
         afterwards).
         """
-        admitted, plans, infeasible, degraded, used = cached
         out_plans: dict[str, np.ndarray] = {}
         for info in infos:
-            plan = plans[info.job_id]
-            info.degraded = info.job_id in degraded
+            plan = previous.plans[info.job_id]
+            info.degraded = info.job_id in previous.degraded
             info.min_share_plan = plan
             out_plans[info.job_id] = plan
         ledger = Ledger(self.capacity, grid.horizon)
-        ledger.load_plans(out_plans, used)
+        ledger.load_plans(out_plans, previous.used)
         return AdmissionResult(
-            admitted=admitted,
+            admitted=previous.admitted,
             plans=out_plans,
             ledger=ledger,
-            infeasible_job=infeasible,
-            degraded=set(degraded),
+            infeasible_job=previous.infeasible,
+            degraded=set(previous.degraded),
         )
 
     def plan_shares(
@@ -608,89 +616,59 @@ class AdmissionController:
         which ``infeasible_job`` names, the fill is exactly the hard
         Algorithm 1 of the paper, so ``admitted`` is its verdict.
 
-        One dispatch serves every path: a fill memo hit replays; otherwise
-        the commit walk (:meth:`_walk`) runs, against the retained previous
-        fill when it ran on the same grid and the views carry table tokens;
-        with the planning cache or the ladder tables switched off,
-        :meth:`_fill_sequential` runs instead.  A fingerprinted fill becomes
-        the new retained snapshot.  The deadline order is computed once here
-        and shared by the walk and the snapshot.
+        One dispatch serves every path: a fingerprint equal to the
+        previous fill's replays it; otherwise the commit walk
+        (:meth:`_walk`) runs, against the previous fill when it ran on the
+        same grid, cold when not; with the planning cache or the ladder
+        tables switched off, :meth:`_fill_sequential` runs instead.  A
+        fingerprinted fill becomes the new previous fill.
         """
-        ordered = sorted(infos, key=_deadline_order)
         key = self._fingerprint(infos, grid) if cache_enabled() else None
+        previous = self._previous if key is not None else None
+        if previous is not None and previous.key == key:
+            probe.bump("alg1_memo_hits")
+            return self._replay(infos, grid, previous)
         if key is not None:
-            cached = self._fill_cache.get(key)
-            if cached is not None:
-                self._fill_cache.move_to_end(key)
-                probe.bump("alg1_memo_hits")
-                result = self._replay(infos, grid, cached)
-                self._retained = self._snapshot(ordered, grid, result)
-                return result
             probe.bump("alg1_memo_misses")
+        ordered = sorted(infos, key=_deadline_order)
         if not (cache_enabled() and batching_enabled()):
             result = self._fill_sequential(ordered, grid)
         else:
-            retained = self._retained if key is not None else None
-            if retained is not None and retained.grid_key != (
-                grid.origin, grid.slot_seconds, grid.horizon
-            ):
-                retained = None
-            result = self._walk(ordered, grid, retained)
+            grid_key = (grid.origin, grid.slot_seconds, grid.horizon)
+            if previous is not None and previous.key[:3] != grid_key:
+                previous = None
+            result = self._walk(ordered, grid, previous)
         if key is not None:
-            # Plans are frozen at registration time and the occupancy
-            # vector is never edited in place, so the cache stores both by
-            # reference; only the dict containers are copied.
-            self._fill_cache[key] = (
-                result.admitted,
-                dict(result.plans),
-                result.infeasible_job,
-                frozenset(result.degraded),
-                result.ledger.used,
+            self._previous = _PreviousFill(
+                key=key,
+                order=[
+                    (info.deadline, info.job_id, info.remaining_iterations,
+                     info.tables_token)
+                    for info in ordered
+                    if not info.best_effort
+                ],
+                plans=dict(result.plans),
+                degraded=frozenset(result.degraded),
+                admitted=result.admitted,
+                infeasible=result.infeasible_job,
+                used=result.ledger.used,
             )
-            while len(self._fill_cache) > self.FILL_CACHE_LIMIT:
-                self._fill_cache.popitem(last=False)
-            self._retained = self._snapshot(ordered, grid, result)
         return result
-
-    def _snapshot(
-        self, ordered: list[PlanningJob], grid: SlotGrid, result: AdmissionResult
-    ) -> _RetainedFill:
-        """Package a finished fill for the next event's delta pass.
-
-        ``ordered`` must already be in deadline order (the caller sorts
-        once for the fill, the delta walk and this snapshot together).
-        """
-        order: list[tuple[float, str, float, int]] = []
-        plans: dict[str, np.ndarray] = {}
-        for info in ordered:
-            if info.best_effort:
-                continue
-            order.append(
-                (info.deadline, info.job_id, info.remaining_iterations,
-                 info.tables_token)
-            )
-            plans[info.job_id] = result.plans[info.job_id]
-        return _RetainedFill(
-            grid_key=(grid.origin, grid.slot_seconds, grid.horizon),
-            order=order,
-            plans=plans,
-            degraded=frozenset(result.degraded),
-        )
 
     @mutates("Ledger._plans", "Ledger._used")
     def _walk(
         self,
         ordered: list[PlanningJob],
         grid: SlotGrid,
-        retained: _RetainedFill | None,
+        previous: _PreviousFill | None,
     ) -> AdmissionResult:
         """Algorithm 1 fill as one deadline-order commit walk.
 
-        A cold fill is a delta fill with nothing retained — every job is
+        A cold fill is a delta fill with no previous fill — every job is
         an arrival — so one walk serves both (bit-identical to
         :meth:`_fill_sequential` either way).  For each SLO job:
 
-        1. With a retained fill, reuse the job's plan by reference when
+        1. With a previous fill on the same grid, reuse the job's plan by reference when
            its view is unchanged and its usable window ends at or before
            the watermark ``lo`` — the first slot at which any departed
            plan, arrival or refill has touched capacity in this walk.
@@ -699,8 +677,8 @@ class AdmissionController:
            lowers ``lo`` only to the first slot where its plan differs from
            the old one, so a refill that reproduces its plan perturbs
            nothing.
-        2. Otherwise bisect ``c*`` in the job's :func:`ladder_rows`
-           table (one per event).  When every window slot still has
+        2. Otherwise bisect ``c*`` in the view's :func:`ladder_rows`
+           table (memoized on the view).  When every window slot still has
            ``c*`` GPUs free, the lemma there makes the plan ``c*``'s row:
            a fast accept.
         3. Otherwise (a clamped window, no feasible row, no window, no
@@ -709,17 +687,12 @@ class AdmissionController:
 
         Fast accepts and fallbacks are counted in :mod:`repro.perf.probe`
         as ``alg1_fast_accepts`` / ``alg1_fallbacks``; ``alg1_row_reuses``
-        counts tables served from the event's ``_ladders``.
+        counts tables the view had already memoized.
         """
         horizon = grid.horizon
         capacity = self.capacity
-        event = (grid.origin, grid.slot_seconds, horizon, tables_global_revision())
-        if self._event_key != event:
-            self._event_key = event
-            self._ladders = {}
-        ladders = self._ladders
-        old = retained.order if retained is not None else []
-        old_plans = retained.plans if retained is not None else {}
+        old = previous.order if previous is not None else []
+        old_plans = previous.plans if previous is not None else {}
         n_old = len(old)
         pos = 0
         lo = horizon  # slots below ``lo`` see a bit-identical used-prefix
@@ -739,7 +712,7 @@ class AdmissionController:
                 continue
             w = info.window(0)
             old_plan = None
-            if retained is not None:
+            if previous is not None:
                 okey = (info.deadline, info.job_id)
                 while pos < n_old and (old[pos][0], old[pos][1]) < okey:
                     # Departed (or re-ordered) job: capacity changes from
@@ -757,7 +730,7 @@ class AdmissionController:
                         and entry[2] == info.remaining_iterations
                         and entry[3] == info.tables_token
                     ):
-                        if info.job_id in retained.degraded:
+                        if info.job_id in previous.degraded:
                             info.degraded = True
                             degraded.add(info.job_id)
                             infeasible = infeasible or info.job_id
@@ -771,15 +744,9 @@ class AdmissionController:
             plan = None
             required = info.remaining_iterations
             if w and required > _EPS:
-                key = (info.job_id, info.tables_token)
-                table = ladders.get(key)
-                if table is not None and table[0] == w:
-                    table_reuses += 1
-                else:
-                    table = ladder_rows(info, 0)
-                    if info.tables_token >= 0:  # hand-built views share -1
-                        ladders[key] = table
-                _stop, caps, totals, rows = table
+                # Counted when the view already holds its start-0 table.
+                table_reuses += 0 in info.__dict__.get("_ladder_tables", ())
+                _stop, caps, totals, rows = ladder_rows(info, 0)
                 threshold = required - _EPS
                 index = bisect_left(totals, threshold)
                 if index < len(caps) and capacity - int(used[:w].max()) >= caps[index]:
@@ -804,7 +771,7 @@ class AdmissionController:
                 plan = np.zeros(horizon, dtype=np.int64)
             info.min_share_plan = plan
             plans[info.job_id] = plan
-            if retained is not None:
+            if previous is not None:
                 if old_plan is not None:
                     if not np.array_equal(old_plan, plan):
                         lo = min(lo, int(np.argmax(old_plan != plan)))
@@ -819,7 +786,7 @@ class AdmissionController:
             "alg1_fallbacks": fallbacks,
             "alg1_row_reuses": table_reuses,
         }
-        if retained is not None:
+        if previous is not None:
             counters["alg1_delta_walks"] = 1
             counters["alg1_delta_reuses"] = reuses
             counters["alg1_delta_refills"] = refills

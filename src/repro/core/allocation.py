@@ -24,7 +24,6 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.core.admission import (
-    LadderTable,
     PlanningJob,
     _emit_plan,
     ladder_rows,
@@ -95,12 +94,10 @@ def _gpu_seconds_to_completion(info: PlanningJob, n_gpus: int, slot_seconds: flo
 
 
 class _LadderRows:
-    """Per-call unclamped ladder rows, plus the state the upgrade loop carries.
+    """Unclamped tail fills, plus the state the upgrade loop carries.
 
-    Within one :func:`allocate_leftover` call every planning view is
-    frozen, so each job's tail table ``ladder_rows(info, 1)`` is built on
-    its first lookup and kept for the call.  By the lemma in
-    :func:`repro.core.admission.ladder_rows`, when
+    Each job's tail table is ``ladder_rows(info, 1)``, memoized on its
+    view.  By the lemma in :func:`repro.core.admission.ladder_rows`, when
     ``m = min(available + own_plan)[1:stop] >= c*`` the tail refill is
     ``c*``'s row whatever the availability, so a stale unclamped proposal
     is still exactly what a rebuild would produce while ``m_now >= c*``.
@@ -109,7 +106,6 @@ class _LadderRows:
     """
 
     def __init__(self, ledger: Ledger) -> None:
-        self._tables: dict[str, LadderTable] = {}
         #: Unclaimed slot-0 GPUs, decremented by every apply (the only
         #: ledger mutation while the loop runs).
         self.avail0 = ledger.available_at(0)
@@ -131,14 +127,11 @@ class _LadderRows:
         """
         if upgrade.added_gpus > self.avail0:
             return False
+        stop = 1 + info.window(1)
         if upgrade.cap:
-            stop = self._tables[upgrade.job_id][0]
             window = ledger.available()[1:stop] + ledger.plan_view(upgrade.job_id)[1:stop]
             return int(window.min()) >= upgrade.cap
-        if upgrade.available is None:
-            return True
-        stop = 1 + info.window(1)
-        if stop == 1:
+        if upgrade.available is None or stop == 1:
             return True
         top = info.sizes[-1] if info.sizes else 0
         own = ledger.plan_view(upgrade.job_id)[1:stop]
@@ -153,13 +146,6 @@ class _LadderRows:
         if cost is None:
             cost = self.costs[info.job_id] = info.gpu_seconds_of(current)
         return cost
-
-    def _table(self, info: PlanningJob) -> LadderTable:
-        """The job's tail ladder table, built on first lookup."""
-        table = self._tables.get(info.job_id)
-        if table is None:
-            table = self._tables[info.job_id] = ladder_rows(info, 1)
-        return table
 
     def unclamped(
         self,
@@ -179,7 +165,7 @@ class _LadderRows:
         ) * float(info.weights[0])
         if required <= _EPS:
             return head, 0
-        stop, caps, totals, rows = self._table(info)
+        stop, caps, totals, rows = ladder_rows(info, 1)
         threshold = required - _EPS
         index = bisect_left(totals, threshold)
         if index == len(totals):

@@ -146,8 +146,8 @@ class Ledger:
         ``set_plan(trusted=True)``, so :meth:`plan_view` can keep handing
         out stored arrays.  ``used`` may be shared (even read-only): every
         mutator *rebinds* ``_used`` to a fresh array instead of writing in
-        place, so adopted vectors — including the admission fill cache's
-        frozen snapshots — are never corrupted by later ledger edits.
+        place, so adopted vectors — including the admission controller's
+        frozen previous fill — are never corrupted by later ledger edits.
         """
         for plan in plans.values():
             plan.flags.writeable = False

@@ -11,7 +11,6 @@ served from leftovers (Section 4.4).
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 
 import numpy as np
 
@@ -59,6 +58,9 @@ class _PlanningFrame:
     carrying plain Python floats — the fill fingerprint hashes the
     identical values either way.
 
+    A refresh drops each view's memoized :func:`ladder_rows` tables in
+    the step that re-seeds its window memo: both derive from the weights.
+
     ``min_share_plan`` and ``degraded`` are deliberately *not* reset on
     refresh: every fill path (cold, batched, delta, replay) overwrites
     both for every participating view before anything reads them.
@@ -81,9 +83,9 @@ class _PlanningFrame:
         """Bring the frame to this event's grid; returns views in order.
 
         This method is the ``planning_frame`` invalidation point: the
-        mutated inputs and every derived per-view memo (the window seed)
-        are rewritten together, so callers observe only fully refreshed
-        views.
+        mutated inputs and every derived per-view memo (the window seed and
+        the ladder tables) are rewritten together, so callers observe only
+        fully refreshed views.
         """
         policy = self._policy
         entries = self._entries
@@ -148,6 +150,7 @@ class _PlanningFrame:
             w0 = int(ends[i])
             # Window from slot 1 drops at most the slot-0 weight.
             view.__dict__["_windows"] = {0: w0, 1: max(w0 - 1, 0)}
+            view.__dict__.pop("_ladder_tables", None)
             views.append(view)
 
         evictions = 0
@@ -216,17 +219,19 @@ class ElasticFlowPolicy(SchedulerPolicy):
         operator_policy: OperatorPolicy | None = None,
     ) -> None:
         super().__init__()
-        if safety_margin < 0:
+        # Written as ``not (...)`` so NaN, which fails every comparison, is
+        # rejected too; an infinite margin would silently reject every job.
+        if not 0 <= safety_margin < math.inf:
             raise ConfigurationError(
-                f"safety_margin must be >= 0, got {safety_margin}"
+                f"safety_margin must be finite and >= 0, got {safety_margin}"
             )
-        if deadline_padding_s < 0:
+        if not deadline_padding_s >= 0:
             raise ConfigurationError(
                 f"deadline_padding_s must be >= 0, got {deadline_padding_s}"
             )
         if max_horizon < 1:
             raise ConfigurationError(f"max_horizon must be >= 1, got {max_horizon}")
-        if stability_threshold < 0:
+        if not stability_threshold >= 0:
             raise ConfigurationError(
                 f"stability_threshold must be >= 0, got {stability_threshold}"
             )
@@ -242,12 +247,10 @@ class ElasticFlowPolicy(SchedulerPolicy):
         self.planning_throughput = planning_throughput
         self.failure_reserve_gpus = failure_reserve_gpus
         self.operator_policy = operator_policy
-        # One controller per planning capacity (capacity changes only on
-        # node failure/repair), so its memoized fills survive across
-        # scheduling events — see AdmissionController's caching contract.
-        # LRU-bounded: repeated failure/repair cycles would otherwise
-        # accumulate controllers (each pinning its fill memo) forever.
-        self._controllers: OrderedDict[int, AdmissionController] = OrderedDict()
+        # One controller for the current planning capacity, replaced when
+        # it changes (only on node failure/repair), so its previous fill
+        # survives across scheduling events.
+        self._admission: AdmissionController | None = None
         # Persistent planning views, refreshed in place on every event
         # (see _PlanningFrame).
         self._frame = _PlanningFrame(self)
@@ -302,8 +305,8 @@ class ElasticFlowPolicy(SchedulerPolicy):
 
         No event-level result cache lives here (grids re-anchor per event,
         so cross-event hits are impossible — see ``docs/performance.md``);
-        repeated solves *within* one event are replayed by the admission
-        controller's fill memo.
+        a repeated solve *within* one event is replayed from the admission
+        controller's previous fill.
         """
         if not active:
             return {}
@@ -377,19 +380,10 @@ class ElasticFlowPolicy(SchedulerPolicy):
         return decisions
 
     # -------------------------------------------------------------- helpers
-    #: Bound on per-capacity admission controllers; LRU-evicted beyond this.
-    CONTROLLER_CACHE_LIMIT = 8
-
     def _controller(self, capacity: int) -> AdmissionController:
-        controller = self._controllers.get(capacity)
-        if controller is None:
-            controller = AdmissionController(capacity)
-            self._controllers[capacity] = controller
-            while len(self._controllers) > self.CONTROLLER_CACHE_LIMIT:
-                self._controllers.popitem(last=False)
-        else:
-            self._controllers.move_to_end(capacity)
-        return controller
+        if self._admission is None or self._admission.capacity != capacity:
+            self._admission = AdmissionController(capacity)
+        return self._admission
 
     def _grid(self, now: float, jobs: list[Job]) -> SlotGrid:
         """Planning grid covering every finite deadline from ``now``.

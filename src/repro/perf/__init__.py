@@ -29,7 +29,6 @@ from repro.perf.coherence import (
 from repro.perf.tables import (
     PlanningTables,
     cache_enabled,
-    cache_stats,
     compute_planning_tables,
     invalidate_planning_tables,
     planning_cache_disabled,
@@ -46,7 +45,6 @@ __all__ = [
     "invalidates",
     "keyed",
     "mutates",
-    "cache_stats",
     "compute_planning_tables",
     "invalidate_planning_tables",
     "planning_cache_disabled",

@@ -17,9 +17,8 @@ the active set stays in the hundreds) and verify the ladder-table solvers
 against the paper-literal loops run on the cached tables
 (``batched_solver_disabled``) instead of the cache-disabled reference,
 which is intractable at that size; the ``reference_mode`` field records
-which yardstick produced ``decisions_match``.  The ``incremental`` block
-of each run reads Algorithm 1's memo and delta-walk counters from
-:mod:`repro.perf.probe`.
+which yardstick produced ``decisions_match``.  The ``counters`` block of
+each run is the :mod:`repro.perf.probe` operation-counter registry.
 
 Usage::
 
@@ -47,7 +46,6 @@ from repro.core.scheduler import ElasticFlowPolicy
 from repro.perf import probe
 from repro.perf.tables import (
     batched_solver_disabled,
-    cache_stats,
     planning_cache_disabled,
     reset_cache,
 )
@@ -236,16 +234,6 @@ def _policy() -> ElasticFlowPolicy:
     )
 
 
-#: Report key of the ``incremental`` block -> the probe counter it reads.
-_INCREMENTAL_COUNTERS = {
-    "fill_cache_hits": "alg1_memo_hits",
-    "fill_cache_misses": "alg1_memo_misses",
-    "delta_hits": "alg1_delta_walks",
-    "delta_reuses": "alg1_delta_reuses",
-    "delta_refills": "alg1_delta_refills",
-}
-
-
 def _run_sim(
     n_jobs: int,
     seed: int,
@@ -271,18 +259,13 @@ def _run_sim(
     with probe.recording(recorder):
         result = sim.run()
     wall = time.perf_counter() - start
-    counters = probe.counters()
-    incremental = {
-        key: counters.get(name, 0) for key, name in _INCREMENTAL_COUNTERS.items()
-    }
     metrics: dict[str, Any] = {
         "wall_s": wall,
         "events": result.events_processed,
         "events_per_sec": result.events_processed / wall if wall > 0 else 0.0,
         **_percentiles_ms(sim.event_latencies),
         "phases": _phase_summary(recorder.events, sim.event_latencies),
-        "incremental": incremental,
-        "counters": counters,
+        "counters": probe.counters(),
     }
     return metrics, result
 
@@ -319,7 +302,6 @@ def bench_end_to_end(
     )
     if profiler is not None:
         profiler.disable()
-    cached_metrics["cache"] = cache_stats()
     if reference_mode == "sequential-solver":
         with batched_solver_disabled():
             uncached_metrics, uncached_result = _run_sim(
@@ -631,11 +613,12 @@ def main(argv: list[str] | None = None) -> int:
         + " | ".join(f"{name} {phases[f'{name}_s']:.1f}s" for name in probe.PHASES)
         + f" | other {phases['other_s']:.1f}s"
     )
-    inc = e2e["cached"]["incremental"]
+    counters = e2e["cached"]["counters"]
     print(
-        f"incremental: delta {inc['delta_hits']} fills ({inc['delta_reuses']} "
-        f"reused / "
-        f"{inc['delta_refills']} refilled), fill-memo {inc['fill_cache_hits']} hits"
+        f"counters: alg1 delta {counters.get('alg1_delta_walks', 0)} walks "
+        f"({counters.get('alg1_delta_reuses', 0)} reused / "
+        f"{counters.get('alg1_delta_refills', 0)} refilled), "
+        f"{counters.get('alg1_memo_hits', 0)} replays"
     )
     print(f"report written to {output}")
     return 0

@@ -15,12 +15,8 @@ metadata):
   ``@coherent(_corrections="planning_tables")`` says "caches derived from
   ``self._corrections`` are kept coherent by the ``planning_tables``
   invalidation; whoever mutates the field must trigger it".  The special
-  dependencies ``"frozen"`` (never mutated after construction) and
-  ``"verified"`` (advisory state re-validated at every use) need no hook.
-  A verified field may additionally *name its verifier(s)* —
-  ``"verified:caps_fresh"`` — promising that every read crossing
-  a cache boundary is re-proved by a call to that function (checked
-  interprocedurally by rule IP005).
+  dependency ``"frozen"`` (never mutated after construction) needs no
+  hook.
 - :func:`keyed` — class decorator declaring *key-invalidated* memo fields:
   ``@keyed(_rate_memo="curve_revision")`` says "entries of
   ``self._rate_memo`` stay coherent because their keys embed
@@ -88,18 +84,10 @@ def coherent(**field_hooks: str) -> Callable[[_C], _C]:
     Args:
         **field_hooks: Mapping of field name to the invalidation name
             (an :data:`INVALIDATION_REGISTRY` key) that keeps caches
-            derived from the field coherent.  Two special names exist:
+            derived from the field coherent.  The special name
             ``"frozen"`` declares a field that must never be mutated
             after construction (it feeds a fingerprint; there is no hook
-            that could repair a mutation), and ``"verified"`` declares an
-            *advisory* field whose every entry is re-validated against
-            ground truth at the point of use — staleness can cost time
-            but never correctness, so mutators need no invalidation hook
-            (e.g. a store of cap hints, each re-proved before use).  A
-            verified field may name the method(s) that perform the
-            re-validation — ``"verified:caps_fresh"`` — which lets
-            the analyser prove every boundary-crossing read actually
-            reaches a verifier (rule IP005).
+            that could repair a mutation).
     """
 
     def decorate(cls: _C) -> _C:
@@ -162,29 +150,16 @@ def invalidates(*names: str) -> Callable[[_F], _F]:
     return decorate
 
 
-def parse_dependency(dependency: str) -> tuple[str, tuple[str, ...]]:
-    """Split one ``@coherent`` dependency string into ``(kind, verifiers)``.
+def parse_dependency(dependency: str) -> str:
+    """Classify one ``@coherent`` dependency string.
 
-    ``kind`` is ``"frozen"``, ``"verified"`` or ``"hook"``; ``verifiers``
-    is the (possibly empty) tuple of function names declared after a
-    ``verified:`` prefix.  Examples::
+    Returns ``"frozen"`` for the frozen marker and ``"hook"`` for
+    anything else (the string names an invalidation-registry entry)::
 
-        parse_dependency("ledger_version")  == ("hook", ())
-        parse_dependency("frozen")          == ("frozen", ())
-        parse_dependency("verified")        == ("verified", ())
-        parse_dependency("verified:f,g")    == ("verified", ("f", "g"))
+        parse_dependency("ledger_version")  == "hook"
+        parse_dependency("frozen")          == "frozen"
     """
-    if dependency == "frozen":
-        return "frozen", ()
-    if dependency == "verified":
-        return "verified", ()
-    if dependency.startswith("verified:"):
-        names = dependency[len("verified:"):]
-        verifiers = tuple(
-            name.strip() for name in names.split(",") if name.strip()
-        )
-        return "verified", verifiers
-    return "hook", ()
+    return "frozen" if dependency == "frozen" else "hook"
 
 
 def export_contracts(classes: tuple[type, ...] = ()) -> dict[str, Any]:
@@ -192,7 +167,7 @@ def export_contracts(classes: tuple[type, ...] = ()) -> dict[str, Any]:
 
     Returns a JSON-ready document holding the invalidation registry plus,
     for each class handed in, its coherent/keyed fields (with parsed
-    dependency kinds and verifiers) and its declared mutators/providers.
+    dependency kinds) and its declared mutators/providers.
     The static analyser derives the same facts from source; tests diff the
     two views so neither can silently drift.
     """
@@ -207,11 +182,9 @@ def export_contracts(classes: tuple[type, ...] = ()) -> dict[str, Any]:
         report = coherence_report(cls)
         fields = {}
         for field_name, dependency in sorted(report["coherent_fields"].items()):
-            kind, verifiers = parse_dependency(dependency)
             fields[field_name] = {
                 "dependency": dependency,
-                "kind": kind,
-                "verifiers": list(verifiers),
+                "kind": parse_dependency(dependency),
             }
         contracts["classes"][cls.__qualname__] = {
             "coherent_fields": fields,

@@ -15,9 +15,9 @@ Contract (see ``docs/performance.md``):
   :func:`invalidate_planning_tables` whenever an observation lands; the
   online model does this automatically.
 - Every table set carries a monotonically increasing ``token``.  Downstream
-  memoisation (the admission baseline cache) fingerprints jobs by this
-  token, so a rebuilt table automatically invalidates every dependent
-  cached plan.
+  memoisation (the admission controller's previous fill) fingerprints jobs
+  by this token, so a rebuilt table automatically invalidates every
+  dependent cached plan.
 - :func:`planning_cache_disabled` is the paper-literal reference: inside
   the context every lookup recomputes from the curve, bypassing and not
   populating the store.  Scheduling decisions must be identical either way
@@ -36,6 +36,7 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
+from repro.perf import probe
 from repro.perf.coherence import invalidates
 
 __all__ = [
@@ -49,7 +50,6 @@ __all__ = [
     "batching_enabled",
     "batched_solver_disabled",
     "tables_global_revision",
-    "cache_stats",
     "reset_cache",
 ]
 
@@ -82,12 +82,6 @@ _revisions: "WeakKeyDictionary[object, int]" = WeakKeyDictionary()
 _enabled: bool = True
 _batching: bool = True
 _global_revision: int = 0
-_stats = {
-    "hits": 0,
-    "misses": 0,
-    "bypasses": 0,
-    "invalidations": 0,
-}
 
 
 def compute_planning_tables(curve, capacity: int) -> PlanningTables:
@@ -120,9 +114,13 @@ def compute_planning_tables(curve, capacity: int) -> PlanningTables:
 
 
 def planning_tables_for(curve, capacity: int) -> PlanningTables:
-    """Memoized planning tables for one ``(curve, capacity)`` pair."""
+    """Memoized planning tables for one ``(curve, capacity)`` pair.
+
+    Lookups are counted in :mod:`repro.perf.probe` as ``tables_hits``,
+    ``tables_misses`` and ``tables_bypasses``.
+    """
     if not _enabled:
-        _stats["bypasses"] += 1
+        probe.bump("tables_bypasses")
         return compute_planning_tables(curve, capacity)
     per_curve = _store.get(curve)
     if per_curve is None:
@@ -130,11 +128,11 @@ def planning_tables_for(curve, capacity: int) -> PlanningTables:
         _store[curve] = per_curve
     tables = per_curve.get(capacity)
     if tables is None:
-        _stats["misses"] += 1
+        probe.bump("tables_misses")
         tables = compute_planning_tables(curve, capacity)
         per_curve[capacity] = tables
     else:
-        _stats["hits"] += 1
+        probe.bump("tables_hits")
     return tables
 
 
@@ -150,13 +148,14 @@ def invalidate_planning_tables(curve) -> None:
     module-wide :func:`tables_global_revision` counter advances too, so
     whole-set validity checks (the simulator's vectorized rate array) can
     detect *any* curve movement with one integer compare instead of
-    re-deriving per-curve revisions.
+    re-deriving per-curve revisions.  Dropping a cached entry counts
+    ``tables_invalidations`` in :mod:`repro.perf.probe`.
     """
     global _global_revision
     _revisions[curve] = _revisions.get(curve, 0) + 1
     _global_revision += 1
     if _store.pop(curve, None) is not None:
-        _stats["invalidations"] += 1
+        probe.bump("tables_invalidations")
 
 
 def tables_global_revision() -> int:
@@ -236,16 +235,9 @@ def batched_solver_disabled():
         _batching = previous
 
 
-def cache_stats() -> dict[str, int]:
-    """Hit/miss/bypass/invalidation counters (copies; for tests & bench)."""
-    return dict(_stats)
-
-
 @invalidates("planning_tables")
 def reset_cache() -> None:
-    """Forget every cached table and zero the counters."""
+    """Forget every cached table."""
     global _global_revision
     _store.clear()
     _global_revision += 1
-    for key in _stats:
-        _stats[key] = 0

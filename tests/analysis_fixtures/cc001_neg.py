@@ -20,13 +20,12 @@ class HolderOneNeg:
         self._invalidate()
 
 
-@coherent(_plans="cc001_neg_dep", _hints="verified")
+@coherent(_plans="cc001_neg_dep")
 class BulkHolderNeg:
     """The retained-ledger pattern: wholesale replacement is one mutation."""
 
     def __init__(self):
         self._plans = {}
-        self._hints = {}
 
     @invalidates("cc001_neg_dep")
     def _invalidate(self):
@@ -37,8 +36,3 @@ class BulkHolderNeg:
         # Bulk restore: adopt the snapshot wholesale, then invalidate once.
         self._plans = dict(plans)
         self._invalidate()
-
-    @mutates("_hints")
-    def remember(self, key, value):
-        # Verified (advisory) fields carry no invalidation obligation.
-        self._hints[key] = value

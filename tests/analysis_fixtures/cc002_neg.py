@@ -16,15 +16,3 @@ class HolderTwoNeg:
     def put(self, key, value):
         self._data[key] = value
         self._invalidate()
-
-
-@coherent(_hints="verified")
-class VerifiedHolderNeg:
-    """Advisory state still needs @mutates, but no invalidation call."""
-
-    def __init__(self):
-        self._hints = {}
-
-    @mutates("_hints")
-    def remember(self, key, value):
-        self._hints[key] = value

@@ -180,27 +180,21 @@ def test_baseline_entry_goes_stale_when_rule_implementation_changes(
 
 
 def test_parse_dependency_classifies_kinds_and_verifiers() -> None:
-    assert parse_dependency("frozen") == ("frozen", ())
-    assert parse_dependency("verified") == ("verified", ())
-    assert parse_dependency("verified:check") == ("verified", ("check",))
-    assert parse_dependency("verified:a, b") == ("verified", ("a", "b"))
-    assert parse_dependency("ledger_version") == ("hook", ())
+    assert parse_dependency("frozen") == "frozen"
+    assert parse_dependency("ledger_version") == "hook"
 
 
-def test_export_contracts_reports_verifier_declarations() -> None:
-    @coherent(_caps="verified:caps_fresh", _hints="verified")
-    class HintStore:
-        def caps_fresh(self, key: str) -> bool:
-            return True
+def test_export_contracts_reports_dependency_kinds() -> None:
+    @coherent(_tables="frozen")
+    class TableHolder:
+        pass
 
-    contracts = export_contracts((Ledger, HintStore))
+    contracts = export_contracts((Ledger, TableHolder))
     ledger = contracts["classes"]["Ledger"]
     assert ledger["coherent_fields"]["_plans"]["kind"] == "hook"
-    store = contracts["classes"][HintStore.__qualname__]
-    hints = store["coherent_fields"]["_hints"]
-    assert hints["kind"] == "verified"
-    assert list(hints["verifiers"]) == []
-    caps = store["coherent_fields"]["_caps"]
-    assert caps["kind"] == "verified"
-    assert list(caps["verifiers"]) == ["caps_fresh"]
+    holder = contracts["classes"][TableHolder.__qualname__]
+    assert holder["coherent_fields"]["_tables"] == {
+        "dependency": "frozen",
+        "kind": "frozen",
+    }
     assert "ledger_version" in contracts["invalidation_registry"]

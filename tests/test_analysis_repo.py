@@ -31,7 +31,7 @@ def test_live_tree_is_finding_free() -> None:
     assert not report.findings, [f.format_human() for f in report.findings]
     assert report.ok
     assert report.files_analyzed > 50
-    assert report.rules_run == 19
+    assert report.rules_run == 18
     # The interprocedural engine ran, resolved the acceptance bar of call
     # sites, and reported honest numbers for the rest.
     assert report.callgraph["call_sites"] > 1000
@@ -50,7 +50,7 @@ def test_cli_lists_all_rules() -> None:
     result = _cli("--list-rules")
     assert result.returncode == 0
     listed = [line.split()[0] for line in result.stdout.splitlines() if line]
-    assert len(listed) == 19
+    assert len(listed) == 18
     for rule_id in (
         "DET001",
         "CC001",
@@ -62,7 +62,6 @@ def test_cli_lists_all_rules() -> None:
         "IP002",
         "IP003",
         "IP004",
-        "IP005",
     ):
         assert rule_id in listed
 
@@ -116,4 +115,4 @@ def test_cli_bench_out_records_budget(tmp_path: Path) -> None:
     assert record["budget_seconds"] == 10.0
     assert record["within_budget"] is True
     assert record["callgraph"]["coverage"] >= 0.95
-    assert len(record["rule_seconds"]) == 19  # a timing for every rule
+    assert len(record["rule_seconds"]) == 18  # a timing for every rule

@@ -35,7 +35,6 @@ RULE_IDS = [
     "ip002",
     "ip003",
     "ip004",
-    "ip005",
 ]
 
 #: Line marker used by positive fixtures.  SUP001's finding *is* a

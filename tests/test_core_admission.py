@@ -238,6 +238,29 @@ class TestPlanningJobFactory:
         with pytest.raises(ConfigurationError):
             planning_job(job, curve, grid, 16, safety_margin=-0.1)
 
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("safety_margin", float("nan")),
+            ("safety_margin", float("inf")),
+            ("deadline_padding_s", float("nan")),
+        ],
+    )
+    def test_nan_knobs_and_infinite_margin_rejected(self, knob, value):
+        grid = SlotGrid(origin=0.0, slot_seconds=60.0, horizon=2)
+        job = Job(
+            spec=JobSpec(
+                job_id="a",
+                model_name="resnet50",
+                global_batch_size=128,
+                max_iterations=10,
+                deadline=60.0,
+            )
+        )
+        curve = ThroughputModel().curve("resnet50", 128)
+        with pytest.raises(ConfigurationError):
+            planning_job(job, curve, grid, 16, **{knob: value})
+
 
 class TestAdmissionProperties:
     @settings(max_examples=60, deadline=None)

@@ -49,6 +49,26 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             ElasticFlowPolicy(failure_reserve_gpus=-1)
 
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("safety_margin", math.nan),
+            ("safety_margin", math.inf),
+            ("deadline_padding_s", math.nan),
+            ("stability_threshold", math.nan),
+        ],
+    )
+    def test_nan_knobs_and_infinite_margin_rejected(self, knob, value):
+        # NaN fails every comparison, so a bare ``< 0`` check let it
+        # through: a NaN margin admitted nothing, a NaN padding admitted
+        # jobs that then missed, a NaN threshold froze every allocation.
+        with pytest.raises(ConfigurationError):
+            ElasticFlowPolicy(**{knob: value})
+
+    def test_infinite_padding_still_accepted(self):
+        policy = ElasticFlowPolicy(deadline_padding_s=math.inf)
+        assert policy.deadline_padding_s == math.inf
+
 
 class TestGrid:
     def test_grid_covers_deadlines(self):

@@ -35,8 +35,8 @@ def test_main_writes_report(tmp_path, tiny_bench, capsys):
         assert metrics["events"] > 0
         assert metrics["events_per_sec"] > 0
         assert "p50_ms" in metrics and "p95_ms" in metrics
-    cache = e2e["cached"]["cache"]
-    assert cache["hits"] > 0
+    # One counter registry: no renamed copies beside ``counters``.
+    assert "cache" not in e2e["cached"] and "incremental" not in e2e["cached"]
 
     admission = report["admission"]
     assert admission["candidates"] > 0
@@ -53,10 +53,12 @@ def test_main_writes_report(tmp_path, tiny_bench, capsys):
     counters = e2e["cached"]["counters"]
     assert counters["alg2_applies"] > 0
     assert counters["buddy_allocs"] > 0
+    assert counters["tables_hits"] > 0
 
     printed = capsys.readouterr().out
     assert "end-to-end" in printed
     assert "buddy" in printed
+    assert f"{counters.get('alg1_memo_hits', 0)} replays" in printed
 
 
 @pytest.mark.parametrize("suite", ["core", "figures"])

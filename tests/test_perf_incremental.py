@@ -1,9 +1,9 @@
 """Tests for the incremental replanning layer.
 
-Covers the reuse tiers added on top of the exact-match fill memo — the
-retained-fill event-delta walk in ``AdmissionController`` (watermark
-reuse) and the ladder-table fast accepts of the cold walk — plus the
-phase probe and the bounded controller cache.  The load-bearing property throughout is
+Covers the two roles of ``AdmissionController``'s previous fill — the
+exact-match replay and the event-delta walk (watermark reuse) — and the
+ladder-table fast accepts of the cold walk, plus the phase probe and the
+policy's single controller.  The load-bearing property throughout is
 *bit-identical decisions*: every fast path must reproduce exactly what the
 cold solve (and the cache-disabled reference) would have produced.
 """
@@ -294,23 +294,32 @@ class TestDeltaFill:
         assert _plans_equal(first.plans, second.plans)
         assert second.plans["a"] is first.plans["a"]  # shared, not copied
 
+    def test_repeating_an_older_fill_walks_against_the_previous(self):
+        # Admission's pattern: baseline, trial, then the baseline again.
+        # Only the trial is kept, so the repeat is a delta walk, and its
+        # plans must equal a cold fill's.
+        ctrl = AdmissionController(8)
+        ctrl.plan_shares([self.a, self.c], self.grid)
+        ctrl.plan_shares([self.a, self.b, self.c], self.grid)
+        probe.reset_counters()
+        again = ctrl.plan_shares([self.a, self.c], self.grid)
+        assert _count("alg1_memo_hits") == 0 and _count("alg1_delta_walks") == 1
+        self._assert_matches_cold(again, [self.a, self.c])
 
-# ------------------------------------------------- bounded controller cache
-class TestControllerCacheBound:
-    def test_lru_eviction_and_identity(self):
+
+# ------------------------------------------------------- single controller
+class TestSingleController:
+    def test_one_controller_replaced_on_capacity_change(self):
         policy = ElasticFlowPolicy()
-        limit = ElasticFlowPolicy.CONTROLLER_CACHE_LIMIT
-        keeper = policy._controller(1)
-        for capacity in range(2, limit + 2):
-            policy._controller(capacity)
-        assert len(policy._controllers) == limit
-        assert 1 not in policy._controllers  # oldest evicted
-        # Touching an entry refreshes it past newer insertions.
-        survivor = policy._controller(2)
-        policy._controller(limit + 2)
-        assert 2 in policy._controllers and 3 not in policy._controllers
-        assert policy._controller(2) is survivor
-        assert policy._controller(1) is not keeper  # rebuilt after eviction
+        healthy = policy._controller(16)
+        assert policy._controller(16) is healthy
+        outage = policy._controller(8)
+        assert outage is not healthy and outage.capacity == 8
+        # The policy holds one controller: returning to the old capacity
+        # builds a fresh one rather than reviving the replaced controller.
+        restored = policy._controller(16)
+        assert restored is not healthy and restored._previous is None
+        assert policy._controller(16) is restored
 
 
 # -------------------------------------------------------- ledger bulk load
@@ -522,22 +531,34 @@ def _run_disrupted(specs, schedule):
     return result, policy
 
 
-def test_disrupted_trace_equivalence_and_reuse():
+def test_disrupted_trace_equivalence_and_reuse(monkeypatch):
     """Failure + repair + online curve corrections mid-trace: the ladder
     and delta paths must stay byte-identical to the cache-disabled
     reference — and must demonstrably have been exercised."""
+    built = []
+    init = AdmissionController.__init__
+
+    def recording_init(self, capacity):
+        built.append(capacity)
+        init(self, capacity)
+
+    monkeypatch.setattr(AdmissionController, "__init__", recording_init)
     specs, schedule = _disrupted_workload()
     reset_cache()
     probe.reset_counters()
     cached, policy = _run_disrupted(specs, schedule)
     counters = probe.counters()
+    capacities = list(built)
     with planning_cache_disabled():
         uncached, _ = _run_disrupted(specs, schedule)
     assert _digest(cached) == _digest(uncached)
 
+    # One controller at a time, replaced on the failure and on the repair;
+    # the one left plans the repaired cluster.
+    assert capacities == [16, 8, 16]
+    assert policy._admission.capacity == 16
+    assert policy._admission._previous is not None
     # The incremental layers actually carried load on the cached run.
-    controllers = list(policy._controllers.values())
-    assert len(controllers) >= 2  # healthy and degraded capacities
     assert counters["alg1_memo_hits"] > 0
     assert counters["alg1_delta_walks"] > 0
     assert counters["alg1_delta_reuses"] > 0

@@ -6,7 +6,7 @@ vectorized sim advance (``engine._ProgressSoA``).  Their decision parity
 against the cache-disabled reference is asserted end to end in
 ``tests/test_perf_equivalence.py``; this module pins the supporting
 invariants (the slot-grid batch math the frame relies on, the rate-memo
-eviction, the event-scoped ladder tables).
+eviction, the per-view ladder tables).
 """
 
 import math
@@ -17,12 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.topology import ClusterSpec
+from repro.core.admission import ladder_rows
+from repro.core.job import Job, JobSpec
 from repro.core.scheduler import ElasticFlowPolicy
 from repro.core.slots import SlotGrid
 from repro.perf import probe
 from repro.perf.tables import batched_solver_disabled, reset_cache
 from repro.profiles import ThroughputModel
 from repro.sim.engine import Simulator
+from repro.sim.interface import PolicyContext
 from repro.traces.synthetic import ClusterTraceConfig, generate_trace
 from repro.traces.workload import build_jobs
 
@@ -133,11 +136,12 @@ def test_rate_memo_evicted_at_completion():
     )
 
 
-# ---------------------------------------------------- event-scoped ladders
+# ------------------------------------------------------ per-view ladders
 class TestEventRowStore:
-    """The event-scoped ladder tables (``AdmissionController._ladders``)
-    must reset whenever the grid or the tables move, and the fast accepts
-    they serve must land plans bit-identical to the sequential fill."""
+    """Each view memoizes its ladder tables (:func:`ladder_rows`); the
+    planning frame must drop them whenever a refresh moves the grid, and
+    the fast accepts they serve must land plans bit-identical to the
+    sequential fill."""
 
     THR = {1: 1.0, 2: 1.8, 8: 3.0}
     CAPACITY = 9
@@ -152,28 +156,46 @@ class TestEventRowStore:
         return infos
 
     def test_rows_reset_when_grid_moves(self):
-        from repro.core.admission import AdmissionController
-
         reset_cache()
-        ctrl = AdmissionController(self.CAPACITY)
-        grid1 = SlotGrid(origin=0.0, slot_seconds=1.0, horizon=8)
-        ids = ["j0", "j1", "j2", "j3"]
-        # Event 1: the cold fill builds one table per job and stamps the
-        # store with this event's key.
-        ctrl.plan_shares(self._infos(grid1, ids, 5.0, 4.0), grid1)
-        assert ctrl._event_key is not None and ctrl._event_key[0] == 0.0
-        first = dict(ctrl._ladders)
-        assert len(first) == len(ids)
-        # Event 2 (new origin): the store resets before reuse, so no stale
-        # table built against the old weights can ever be read.
-        grid2 = SlotGrid(origin=0.5, slot_seconds=1.0, horizon=8)
-        ctrl.plan_shares(self._infos(grid2, ids, 5.0, 4.0), grid2)
-        assert ctrl._event_key[0] == 0.5
-        assert len(ctrl._ladders) == len(ids)
-        assert all(ctrl._ladders[key] is not first[key] for key in first)
-        # Every table is frozen: fills share its rows by reference.
-        for _stop, _caps, _totals, rows in ctrl._ladders.values():
-            assert not rows.flags.writeable
+        policy = ElasticFlowPolicy()
+        policy.bind(
+            PolicyContext(
+                cluster=ClusterSpec(n_nodes=2, gpus_per_node=8),
+                throughput=ThroughputModel(),
+                slot_seconds=600.0,
+            )
+        )
+        jobs = [
+            Job(
+                spec=JobSpec(
+                    job_id=f"j{i}",
+                    model_name="resnet50",
+                    global_batch_size=128,
+                    max_iterations=50_000,
+                    submit_time=0.0,
+                    deadline=3600.0 * (i + 1),
+                )
+            )
+            for i in range(3)
+        ]
+        first = policy._frame.refresh(jobs, policy._grid(0.0, jobs))
+        old = [(ladder_rows(view, 0), ladder_rows(view, 1)) for view in first]
+        for view, (rows0, rows1) in zip(first, old):
+            # Memoized per view and start, and frozen: fills share rows.
+            assert ladder_rows(view, 0) is rows0 and ladder_rows(view, 1) is rows1
+            assert not rows0[3].flags.writeable and not rows1[3].flags.writeable
+        # A new origin rewrites every view's weights in place; the refresh
+        # must drop the tables derived from the old weights.
+        second = policy._frame.refresh(jobs, policy._grid(300.0, jobs))
+        assert all(a is b for a, b in zip(first, second))
+        for view, tables in zip(second, old):
+            fresh = replace(view)  # same inputs, nothing memoized
+            for start, stale in enumerate(tables):
+                table = ladder_rows(view, start)
+                expected = ladder_rows(fresh, start)
+                assert table is not stale
+                assert table[:3] == expected[:3] != stale[:3]
+                assert np.array_equal(table[3], expected[3])
 
     def test_delta_fast_accepts_are_bit_identical(self):
         from repro.core.admission import AdmissionController
@@ -221,7 +243,8 @@ class TestEventRowStore:
             cold = cold_ctrl.plan_shares(cold_infos, grid2)
         counters = probe.counters()
         assert "alg1_delta_walks" not in counters
-        assert "alg1_fast_accepts" not in counters and not cold_ctrl._ladders
+        assert "alg1_fast_accepts" not in counters
+        assert not any("_ladder_tables" in info.__dict__ for info in cold_infos)
         assert set(trial.plans) == set(cold.plans)
         for job_id, plan in cold.plans.items():
             assert np.array_equal(trial.plans[job_id], plan), job_id

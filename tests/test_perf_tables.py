@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.perf import probe
 from repro.perf import tables as tables_mod
 from repro.perf.tables import (
     cache_enabled,
-    cache_stats,
     compute_planning_tables,
     curve_revision,
     invalidate_planning_tables,
@@ -21,8 +21,14 @@ from repro.profiles.online import OnlineThroughputModel
 @pytest.fixture(autouse=True)
 def _fresh_cache():
     reset_cache()
+    probe.reset_counters()
     yield
     reset_cache()
+
+
+def _count(name):
+    """One planning-table probe counter (absent counters read zero)."""
+    return probe.counters().get(f"tables_{name}", 0)
 
 
 def _curve(model="resnet50", batch=128):
@@ -68,9 +74,8 @@ class TestMemoisation:
         first = planning_tables_for(curve, 8)
         second = planning_tables_for(curve, 8)
         assert first is second
-        stats = cache_stats()
-        assert stats["misses"] == 1
-        assert stats["hits"] == 1
+        assert _count("misses") == 1
+        assert _count("hits") == 1
 
     def test_distinct_capacity_is_a_distinct_entry(self):
         curve = _curve()
@@ -92,11 +97,11 @@ class TestMemoisation:
             a = planning_tables_for(curve, 8)
             b = planning_tables_for(curve, 8)
         assert a is not b  # fresh build each time
-        assert cache_stats()["bypasses"] == 2
+        assert _count("bypasses") == 2
         assert cache_enabled()
         # The bypassed builds must not have seeded the store.
         planning_tables_for(curve, 8)
-        assert cache_stats()["misses"] == 1
+        assert _count("misses") == 1
 
 
 class TestInvalidation:
@@ -107,7 +112,7 @@ class TestInvalidation:
         after = planning_tables_for(curve, 8)
         assert after is not before
         assert after.token != before.token
-        assert cache_stats()["invalidations"] == 1
+        assert _count("invalidations") == 1
 
     def test_curve_revision_bumps_on_every_invalidation(self):
         curve = _curve()
@@ -143,10 +148,12 @@ class TestInvalidation:
     def test_observation_on_unseen_curve_is_harmless(self):
         online = OnlineThroughputModel(ThroughputModel(), alpha=0.5)
         online.observe("vgg16", 64, n_gpus=2, observed_rate=1.0)
-        assert cache_stats()["invalidations"] == 0
+        assert _count("invalidations") == 0
 
 
 class TestModuleHygiene:
     def test_public_surface(self):
         for name in tables_mod.__all__:
             assert hasattr(tables_mod, name)
+        # Lookup counts live in the probe registry, not a second store.
+        assert not hasattr(tables_mod, "cache_stats")
