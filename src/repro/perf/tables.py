@@ -12,8 +12,8 @@ Contract (see ``docs/performance.md``):
 - Tables are keyed by ``(curve identity, capacity)``.  A curve whose
   throughput can change over time (e.g. the live-corrected curves of
   :class:`repro.profiles.online.OnlineThroughputModel`) **must** call
-  :func:`invalidate_planning_tables` whenever an observation lands; the
-  online model does this automatically.
+  :func:`invalidate_planning_tables` whenever its answers move; the
+  online model does this whenever an observation moves a correction.
 - Every table set carries a monotonically increasing ``token``.  Downstream
   memoisation (the admission controller's previous fill) fingerprints jobs
   by this token, so a rebuilt table automatically invalidates every

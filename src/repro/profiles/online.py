@@ -15,35 +15,21 @@ typically systematic, so one observed size informs the others).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 from repro.errors import ConfigurationError
-from repro.perf.coherence import coherent, mutates
-from repro.perf.tables import invalidate_planning_tables
+from repro.perf import probe
+from repro.perf.coherence import coherent, keyed, mutates
+from repro.perf.tables import curve_revision, invalidate_planning_tables
 from repro.profiles.throughput import Placement, ScalingCurve, ThroughputModel
 
 __all__ = ["OnlineThroughputModel", "ScaledThroughputModel"]
 
 
-@dataclass
-class _Correction:
-    """EWMA of observed/predicted throughput for one configuration size."""
-
-    factor: float = 1.0
-    observations: int = 0
-
-    def update(self, ratio: float, alpha: float) -> None:
-        if self.observations == 0:
-            self.factor = ratio
-        else:
-            self.factor += alpha * (ratio - self.factor)
-        self.observations += 1
-
-
 class _CorrectedCurve(ScalingCurve):
     """A scaling curve with live multiplicative corrections applied."""
 
-    def __init__(self, base: ScalingCurve, corrections: dict[int, _Correction]):
+    def __init__(self, base: ScalingCurve, corrections: dict[int, float]):
         super().__init__(
             base.model,
             base.global_batch,
@@ -54,12 +40,11 @@ class _CorrectedCurve(ScalingCurve):
         self._live = corrections  # shared, mutated by the owning model
 
     def _factor_for(self, size: int) -> float:
-        correction = self._live.get(size)
-        if correction is not None and correction.observations > 0:
-            return correction.factor
-        observed = [c for c in self._live.values() if c.observations > 0]
-        if observed:
-            return sum(c.factor for c in observed) / len(observed)
+        factor = self._live.get(size)
+        if factor is not None:
+            return factor
+        if self._live:
+            return sum(self._live.values()) / len(self._live)
         return 1.0
 
     def throughput(self, n_gpus: int, placement: Placement | None = None) -> float:
@@ -69,6 +54,7 @@ class _CorrectedCurve(ScalingCurve):
 
 
 @coherent(_corrections="planning_tables")
+@keyed(_prior_at="curve_revision")
 class OnlineThroughputModel:
     """A planning model that learns corrections from runtime observations.
 
@@ -87,11 +73,16 @@ class OnlineThroughputModel:
             raise ConfigurationError(f"alpha must be in (0, 1], got {alpha}")
         self.prior = prior
         self.alpha = alpha
-        self._corrections: dict[tuple[str, int], dict[int, _Correction]] = {}
+        # Per configuration: size -> EWMA of observed/predicted throughput
+        # (a size is present once it has been observed).
+        self._corrections: dict[tuple[str, int], dict[int, float]] = {}
         self._curves: dict[tuple[str, int], _CorrectedCurve] = {}
+        # (model, batch, n_gpus, prior curve revision) -> the prior's
+        # (best size, throughput) at that worker count.
+        self._prior_at: dict[tuple[str, int, int, int], tuple[int, float]] = {}
         self.observations = 0
 
-    def _corrections_for(self, model_name: str, batch: int) -> dict[int, _Correction]:
+    def _corrections_for(self, model_name: str, batch: int) -> dict[int, float]:
         # lint: disable=CC002 -- lazy container init; an empty dict changes no curve answer
         return self._corrections.setdefault((model_name, batch), {})
 
@@ -102,7 +93,7 @@ class OnlineThroughputModel:
         always live: it reads the shared correction state on every call.
         Returning a stable object is what lets the planning-table memo
         (:mod:`repro.perf.tables`) key by curve identity; :meth:`observe`
-        invalidates those tables whenever the corrections move.
+        invalidates those tables whenever a correction moves.
         """
         key = (model_name, global_batch)
         curve = self._curves.get(key)
@@ -129,35 +120,42 @@ class OnlineThroughputModel:
             observed_rate: Measured iterations/second.
 
         Raises:
-            ConfigurationError: On non-positive inputs.
+            ConfigurationError: On a non-positive worker count or a rate
+                that is not a positive finite number.
         """
         if n_gpus < 1:
             raise ConfigurationError(f"n_gpus must be >= 1, got {n_gpus}")
-        if observed_rate <= 0:
+        if not 0 < observed_rate < math.inf:
             raise ConfigurationError(
-                f"observed_rate must be > 0, got {observed_rate}"
+                f"observed_rate must be positive and finite, got {observed_rate}"
             )
         base = self.prior.curve(model_name, global_batch)
-        size = base.best_size(n_gpus)
-        predicted = base.throughput(size)
-        corrections = self._corrections_for(model_name, global_batch)
-        corrections.setdefault(size, _Correction()).update(
-            observed_rate / predicted, self.alpha
-        )
+        key = (model_name, global_batch, n_gpus, curve_revision(base))
+        prior_at = self._prior_at.get(key)
+        if prior_at is None:
+            size = base.best_size(n_gpus)
+            prior_at = self._prior_at[key] = (size, base.throughput(size))
+        size, predicted = prior_at
         self.observations += 1
-        # A correction shifts every size of this configuration's curve (the
-        # unobserved sizes borrow the average factor), so any memoized
-        # planning tables derived from it are now stale.  Invalidate
-        # unconditionally: `curve()` returns the cached corrected curve or
-        # creates it, so the hook runs on every path through this mutator.
+        probe.bump("online_observations")
+        config = (model_name, global_batch)
+        ratio = observed_rate / predicted
+        old = self._corrections.get(config, {}).get(size)
+        new = ratio if old is None else old + self.alpha * (ratio - old)
+        if new == old:
+            return
+        self._corrections.setdefault(config, {})[size] = new
+        probe.bump("online_corrections")
+        # A moved correction shifts every size of this configuration's
+        # curve (the unobserved sizes borrow the average factor), so any
+        # memoized planning tables derived from it are now stale.  The
+        # tables are a pure function of the stored factors, so an
+        # observation that leaves them unchanged returns above.
         invalidate_planning_tables(self.curve(model_name, global_batch))
 
     def correction_factor(self, model_name: str, global_batch: int, size: int) -> float:
         """Current correction at one size (1.0 before any observation)."""
-        correction = self._corrections_for(model_name, global_batch).get(size)
-        if correction is None or correction.observations == 0:
-            return 1.0
-        return correction.factor
+        return self._corrections.get((model_name, global_batch), {}).get(size, 1.0)
 
 
 class ScaledThroughputModel:
@@ -168,23 +166,23 @@ class ScaledThroughputModel:
     """
 
     def __init__(self, base: ThroughputModel, factor: float) -> None:
-        if factor <= 0:
-            raise ConfigurationError(f"factor must be > 0, got {factor}")
+        if not 0 < factor < math.inf:
+            raise ConfigurationError(
+                f"factor must be positive and finite, got {factor}"
+            )
         self.base = base
         self.factor = factor
-        self._bias: dict[tuple[str, int], dict[int, _Correction]] = {}
         self._curves: dict[tuple[str, int], _CorrectedCurve] = {}
 
     def curve(self, model_name: str, global_batch: int) -> ScalingCurve:
         key = (model_name, global_batch)
         curve = self._curves.get(key)
         if curve is None:
-            fixed = _Correction()
-            fixed.update(self.factor, alpha=1.0)
             # One shared pseudo-observation biases every size uniformly.
-            self._bias[key] = {0: fixed}
             # The bias never changes, so the cached curve (and any planning
             # tables memoized from it) stays valid for the model's lifetime.
-            curve = _CorrectedCurve(self.base.curve(model_name, global_batch), self._bias[key])
+            curve = _CorrectedCurve(
+                self.base.curve(model_name, global_batch), {0: self.factor}
+            )
             self._curves[key] = curve
         return curve

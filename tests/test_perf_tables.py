@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.perf import probe
 from repro.perf import tables as tables_mod
@@ -13,6 +15,7 @@ from repro.perf.tables import (
     planning_cache_disabled,
     planning_tables_for,
     reset_cache,
+    tables_global_revision,
 )
 from repro.profiles import ThroughputModel
 from repro.profiles.online import OnlineThroughputModel
@@ -149,6 +152,70 @@ class TestInvalidation:
         online = OnlineThroughputModel(ThroughputModel(), alpha=0.5)
         online.observe("vgg16", 64, n_gpus=2, observed_rate=1.0)
         assert _count("invalidations") == 0
+
+
+class TestOnlineInvalidation:
+    """``observe`` invalidates exactly when a stored correction moves."""
+
+    def _primed(self):
+        online = OnlineThroughputModel(ThroughputModel(), alpha=0.3)
+        curve = online.curve("resnet50", 128)
+        rate = curve.throughput(4) * 0.8
+        online.observe("resnet50", 128, n_gpus=4, observed_rate=rate)
+        return online, curve, rate
+
+    def test_repeated_identical_observation_keeps_tables(self):
+        online, curve, rate = self._primed()
+        before = planning_tables_for(curve, 8)
+        revision, global_revision = curve_revision(curve), tables_global_revision()
+        for _ in range(3):
+            online.observe("resnet50", 128, n_gpus=4, observed_rate=rate)
+        assert planning_tables_for(curve, 8).token == before.token
+        assert curve_revision(curve) == revision
+        assert tables_global_revision() == global_revision
+        assert _count("invalidations") == 0
+        assert online.observations == 4
+
+    def test_first_observation_at_a_new_size_invalidates(self):
+        online, curve, rate = self._primed()
+        before = planning_tables_for(curve, 8)
+        online.observe("resnet50", 128, n_gpus=2, observed_rate=rate / 2)
+        assert planning_tables_for(curve, 8).token != before.token
+        assert _count("invalidations") == 1
+
+    def test_observation_moving_the_ewma_invalidates(self):
+        online, curve, rate = self._primed()
+        before = planning_tables_for(curve, 8)
+        revision = curve_revision(curve)
+        online.observe("resnet50", 128, n_gpus=4, observed_rate=rate * 0.9)
+        assert curve_revision(curve) == revision + 1
+        assert planning_tables_for(curve, 8).token != before.token
+        assert _count("invalidations") == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from([1, 2, 3, 4, 8]),
+                st.sampled_from([0.5, 0.8, 1.0, 1.25]),
+                st.one_of(st.just(1.0), st.floats(0.9, 1.1)),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_memoized_tables_track_every_observation(self, steps):
+        online = OnlineThroughputModel(ThroughputModel(), alpha=0.3)
+        curve = online.curve("resnet50", 128)
+        truth = ThroughputModel().curve("resnet50", 128)
+        for n_gpus, bias, noise in steps:
+            rate = truth.throughput(n_gpus) * bias * noise
+            online.observe("resnet50", 128, n_gpus=n_gpus, observed_rate=rate)
+            for capacity in (4, 8):
+                cached = planning_tables_for(curve, capacity)
+                fresh = compute_planning_tables(curve, capacity)
+                assert np.array_equal(cached.throughput_table, fresh.throughput_table)
+                assert np.array_equal(cached.size_table, fresh.size_table)
 
 
 class TestModuleHygiene:

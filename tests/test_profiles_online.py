@@ -1,5 +1,7 @@
 """Tests for online throughput profiling (paper Section 5)."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,14 +10,38 @@ from hypothesis import strategies as st
 from repro.cluster import ClusterSpec
 from repro.core import ElasticFlowPolicy, JobSpec
 from repro.errors import ConfigurationError
+from repro.perf import probe
+from repro.perf.tables import invalidate_planning_tables
 from repro.profiles import (
     OnlineThroughputModel,
     ScaledThroughputModel,
     ThroughputModel,
 )
+from repro.profiles.throughput import ScalingCurve
 from repro.sim import ElasticExecutor, Simulator
 
 TRUE_MODEL = ThroughputModel()
+
+
+class _CountingCurve(ScalingCurve):
+    """A prior curve that counts how often it is asked for a best size."""
+
+    asked = 0
+
+    def best_size(self, available_gpus: int) -> int:
+        self.asked += 1
+        return super().best_size(available_gpus)
+
+
+class _CountingPrior(ThroughputModel):
+    def _build_curve(self, model_name: str, global_batch: int) -> ScalingCurve:
+        base = super()._build_curve(model_name, global_batch)
+        return _CountingCurve(
+            base.model,
+            global_batch,
+            base.interconnect,
+            power_of_two=base.power_of_two,
+        )
 
 
 class TestScaledModel:
@@ -31,6 +57,11 @@ class TestScaledModel:
     def test_invalid_factor_rejected(self):
         with pytest.raises(ConfigurationError):
             ScaledThroughputModel(TRUE_MODEL, 0.0)
+
+    @pytest.mark.parametrize("factor", [math.nan, math.inf])
+    def test_non_finite_factor_rejected(self, factor):
+        with pytest.raises(ConfigurationError):
+            ScaledThroughputModel(TRUE_MODEL, factor)
 
 
 class TestOnlineModel:
@@ -96,6 +127,42 @@ class TestOnlineModel:
             online.observe("resnet50", 128, 2, 0.0)
         with pytest.raises(ConfigurationError):
             OnlineThroughputModel(TRUE_MODEL, alpha=0.0)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_rate_rejected_and_curve_untouched(self, rate):
+        online = OnlineThroughputModel(TRUE_MODEL)
+        curve = online.curve("resnet50", 128)
+        before = [curve.throughput(n) for n in (1, 2, 4, 8)]
+        with pytest.raises(ConfigurationError):
+            online.observe("resnet50", 128, 2, rate)
+        assert [curve.throughput(n) for n in (1, 2, 4, 8)] == before
+        assert online.observations == 0
+
+    def test_prior_asked_once_per_configuration_and_revision(self):
+        prior = _CountingPrior()
+        online = OnlineThroughputModel(prior, alpha=0.5)
+        prior_curve = prior.curve("resnet50", 128)
+        truth = TRUE_MODEL.curve("resnet50", 128)
+        for rate in (1.0, 2.0, 3.0):
+            online.observe("resnet50", 128, 4, truth.throughput(4) * rate)
+        assert prior_curve.asked == 1
+        online.observe("resnet50", 128, 2, truth.throughput(2))
+        assert prior_curve.asked == 2
+        invalidate_planning_tables(prior_curve)
+        online.observe("resnet50", 128, 4, truth.throughput(4))
+        assert prior_curve.asked == 3
+
+    def test_counts_observations_and_moved_corrections(self):
+        probe.reset_counters()
+        online = OnlineThroughputModel(TRUE_MODEL, alpha=0.5)
+        rate = TRUE_MODEL.curve("resnet50", 128).throughput(4) * 0.8
+        for observed in (rate, rate, rate * 0.5, rate * 0.5):
+            online.observe("resnet50", 128, 4, observed)
+        counted = probe.counters()
+        # The first observation and each moved EWMA step count as
+        # corrections; the repeat of the first rate does not.
+        assert counted["online_observations"] == 4
+        assert counted["online_corrections"] == 3
 
     @settings(max_examples=30, deadline=None)
     @given(factor=st.floats(min_value=0.5, max_value=2.5))
