@@ -16,6 +16,7 @@ import math
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +27,13 @@ from repro.errors import ConfigurationError
 from repro.numeric import EPS
 from repro.perf.coherence import coherent, keyed, mutates
 from repro.perf import probe
-from repro.perf.tables import batching_enabled, cache_enabled, planning_tables_for
+from repro.perf.tables import (
+    LadderPrefix,
+    PlanningTables,
+    batching_enabled,
+    cache_enabled,
+    planning_tables_for,
+)
 from repro.profiles.throughput import ScalingCurve
 
 __all__ = [
@@ -40,10 +47,6 @@ __all__ = [
 
 _EPS = EPS  # the shared numeric tolerance (repro.numeric)
 
-#: ``(stop, caps, totals, rows)`` of one job; see :func:`ladder_rows`.
-LadderTable = tuple[int, tuple[int, ...], list[float], np.ndarray]
-
-
 @coherent(
     remaining_iterations="planning_frame",
     deadline="planning_frame",
@@ -53,6 +56,7 @@ LadderTable = tuple[int, tuple[int, ...], list[float], np.ndarray]
     sizes="frozen",
     best_effort="frozen",
     tables_token="frozen",
+    tables="frozen",
 )
 @dataclass
 class PlanningJob:
@@ -67,8 +71,8 @@ class PlanningJob:
     dependency: the persistent planning frame
     (``repro.core.scheduler._PlanningFrame``) rewrites them in place on
     every refresh through its declared mutator, which re-seeds the
-    per-view window memo and drops the per-view ladder tables in the same
-    step, so no derived state can survive the inputs it was derived from.
+    per-view window and full-run memos in the same step, so no derived
+    state can survive the inputs it was derived from.
     Everywhere else these fields are read-only.  Only ``degraded`` and
     ``min_share_plan`` are free mutable working state.
 
@@ -85,6 +89,9 @@ class PlanningJob:
             was derived from (see :mod:`repro.perf.tables`); ``-1`` for
             hand-built views.  Fingerprint-based plan caching is skipped
             whenever any participating job carries ``-1``.
+        tables: The memoized table set itself (``None`` for hand-built
+            views); its :class:`~repro.perf.tables.LadderPrefix` serves
+            :func:`ladder_rows`.
         degraded: Set by the planner when the job's deadline can no longer
             be met (e.g. it was admitted earlier and fell behind).  Degraded
             jobs lose their reservation and are served from leftovers like
@@ -102,6 +109,7 @@ class PlanningJob:
     sizes: Sequence[int]
     best_effort: bool = False
     tables_token: int = -1
+    tables: PlanningTables | None = field(default=None, repr=False, compare=False)
     degraded: bool = False
     min_share_plan: np.ndarray | None = field(default=None, repr=False)
 
@@ -145,6 +153,27 @@ class PlanningJob:
             w = int(nonzero[-1]) + 1 if nonzero.size else 0
             windows[start_slot] = w
         return w
+
+    def full_run(self) -> tuple[float, int]:
+        """``(weight, n)``: the weights open with ``n`` slots of exactly ``weight``.
+
+        The planning frame seeds the grid's slot width and its count of
+        full slots (frame weights never increase and are capped at the
+        slot width, so full slots come first).  Other views take the run
+        of their first weight, once, if it spans two slots or more: a
+        shorter run saves nothing, and a partial first slot would key a
+        prefix no other view shares.
+        """
+        run = self.__dict__.get("_full")
+        if run is None:
+            weights = self.weights
+            first = float(weights[0]) if len(weights) else 0.0
+            n = 0
+            if first > 0:
+                differs = weights != first
+                n = int(np.argmax(differs)) if differs.any() else len(weights)
+            run = self.__dict__["_full"] = (first, n if n >= 2 else 0)
+        return run
 
     def next_size_after(self, current: int) -> int | None:
         """Smallest allowed size strictly above ``current`` (None at the top)."""
@@ -214,6 +243,7 @@ def planning_job(
         sizes=tables.sizes,
         best_effort=job.spec.best_effort,
         tables_token=tables.token,
+        tables=tables,
     )
 
 
@@ -318,25 +348,57 @@ def progressive_filling(
     if not feasible.any():
         return None
     row = int(np.argmax(feasible))
-    return _emit_plan(
-        info,
-        plan,
-        x2d[row],
-        progress2d[row],
-        required,
-        threshold,
-        tail_weights,
-        start_slot,
-    )
+    progress = progress2d[row]
+    done = int(np.searchsorted(progress, threshold))
+    earlier = float(progress[done - 1]) if done > 0 else 0.0
+    return _emit_plan(info, plan, x2d[row], done, earlier, required, start_slot)
+
+
+class LadderTable(NamedTuple):
+    """Every distinct unclamped fill of one job from ``start``; see :func:`ladder_rows`.
+
+    Row ``i``, never materialized, is the constant-weight prefix
+    ``prefix[i][:full]`` followed by the ``tail`` weights times ``thr[i]``
+    accumulated on top; ``totals[i]`` is its last entry.
+    """
+
+    stop: int
+    caps: tuple[int, ...]
+    totals: list[float]
+    full: int
+    prefix: Sequence[Sequence[float]]
+    thr: list[float]
+    tail: list[float]
+
+    def completion(self, index: int, threshold: float) -> tuple[int, float]:
+        """``(done, earlier)`` of row ``index``: the first window slot whose
+        progress reaches ``threshold`` (``np.searchsorted`` on the row) and
+        the progress before it.  Needs ``totals[index] >= threshold``."""
+        full = self.full
+        acc = 0.0
+        if full:
+            row = self.prefix[index]
+            acc = row[full - 1]
+            if acc >= threshold:
+                done = bisect_left(row, threshold, 0, full)
+                return done, row[done - 1] if done else 0.0
+        step = self.thr[index]
+        done, earlier = full, acc
+        for done, weight in enumerate(self.tail, full):
+            earlier = acc
+            acc += step * weight
+            if acc >= threshold:
+                break
+        return done, earlier
 
 
 def ladder_rows(info: PlanningJob, start: int) -> LadderTable:
     """Every distinct unclamped fill of a job from ``start``.
 
-    Returns ``(stop, caps, totals, rows)`` over the usable window
-    ``[start, stop)``: ``rows[i]`` is ``cumsum(T[S[caps[i]]] *
-    weights[start:stop])``, the progress of a fill taking ``caps[i]`` in
-    every slot, and ``totals[i]`` its last entry.
+    Returns a :class:`LadderTable` over the usable window ``[start,
+    stop)``: row ``i`` is ``cumsum(T[S[caps[i]]] * weights[start:stop])``,
+    the progress of a fill taking ``caps[i]`` in every slot, and
+    ``totals[i]`` its last entry.
 
     **Lemma.**  Let ``c*`` be the first cap whose row reaches ``required -
     EPS``; totals are non-decreasing in the cap, so ``c*`` is
@@ -346,56 +408,64 @@ def ladder_rows(info: PlanningJob, start: int) -> LadderTable:
     feasible row means no feasible clamped fill either.  Caps with the
     same runnable size ``S[c]`` have identical rows, and the scan and the
     bisect both pick the first, so only the first of each run is kept.
-    The rows are bit-identical to the scan's and frozen, because one
-    table serves many fills by reference (``docs/performance.md``, "One
-    ladder table").
 
-    Memoized per view and ``start``, like :meth:`PlanningJob.window`:
-    the table depends only on ``weights`` and the frozen tables, and the
-    planning frame drops the memo whenever it rewrites the weights.
+    **Prefix lemma.**  ``np.cumsum`` adds sequentially and the window
+    opens with ``full`` slots of one weight (:meth:`PlanningJob.full_run`),
+    so row ``i`` is the table set's prefix ``P_i[:full]``
+    (:meth:`repro.perf.tables.LadderPrefix.prefix`) with the tail
+    accumulated on top of ``P_i[full - 1]``: bit for bit the scan's row,
+    at O(ncaps) per tail slot (``docs/performance.md``, "One ladder
+    table").  A tail longer than one slot counts ``ladder_long_tails``.
     """
-    tables = info.__dict__.get("_ladder_tables")
-    if tables is None:
-        tables = info.__dict__["_ladder_tables"] = {}
-    table = tables.get(start)
-    if table is not None:
-        return table
     stop = start + info.window(start)
     if stop == start or not info.sizes:
-        table = tables[start] = (stop, (), [], np.empty((0, 0)))
-        return table
-    # The distinct ladder is a function of the frozen tables: once per view.
-    ladder = info.__dict__.get("_ladder")
-    if ladder is None:
-        sizes = info.sizes_array()
-        runnable = info.size_table[sizes]
-        first = np.flatnonzero(np.diff(runnable, prepend=-1))
-        thr = info.throughput_table[runnable[first]][:, None]
-        ladder = info.__dict__["_ladder"] = (tuple(sizes[first].tolist()), thr)
-    caps, thr = ladder
-    rows = np.cumsum(thr * info.weights[start:stop], axis=1)
-    rows.flags.writeable = False
-    table = tables[start] = (stop, caps, rows[:, -1].tolist(), rows)
-    return table
+        return LadderTable(stop, (), [], 0, (), [], [])
+    tables = info.tables
+    if tables is not None:
+        ladder = tables.ladder
+    else:
+        ladder = info.__dict__.get("_ladder")
+        if ladder is None:
+            ladder = info.__dict__["_ladder"] = LadderPrefix(
+                info.sizes, info.throughput_table, info.size_table
+            )
+    weight, run = info.full_run()
+    thr = ladder.thr
+    if run > start:
+        full = run - start
+        prefix: Sequence[Sequence[float]] = ladder.prefix(weight, full)
+        totals = [row[full - 1] for row in prefix]
+    else:
+        full, prefix, totals = 0, (), [0.0] * len(thr)
+    tail = info.weights[start + full : stop].tolist()
+    if len(tail) > 1:
+        probe.bump("ladder_long_tails")
+    for w in tail:
+        totals = [acc + step * w for acc, step in zip(totals, thr)]
+    # ``tuple.__new__`` skips the generated keyword-handling constructor:
+    # one table is built per fill.
+    return tuple.__new__(
+        LadderTable, (stop, ladder.caps, totals, full, prefix, thr, tail)
+    )
 
 
 def _emit_plan(
     info: PlanningJob,
     plan: np.ndarray,
     x: np.ndarray | int,
-    progress: np.ndarray,
+    done: int,
+    earlier: float,
     required: float,
-    threshold: float,
-    tail_weights: np.ndarray,
     start_slot: int,
 ) -> np.ndarray:
-    """Write the selected cap's row into ``plan`` (shared by scan and ladder paths).
+    """Write the selected cap's fill through its completion slot ``done``.
 
-    ``x`` may be a scalar: an unclamped fill takes the same size in every
-    slot, so the constant stands in for the per-slot row (the broadcast
-    assignment writes the identical values the array would have held).
+    Shared by the scan and ladder paths; ``earlier`` is the progress
+    before the completion slot.  ``x`` may be a scalar: an unclamped fill
+    takes the same size in every slot, so the constant stands in for the
+    per-slot row (the broadcast assignment writes the identical values
+    the array would have held).
     """
-    done = int(np.searchsorted(progress, threshold))
     if isinstance(x, np.ndarray):
         plan[start_slot : start_slot + done + 1] = x[: done + 1]
         x_done = int(x[done])
@@ -405,9 +475,8 @@ def _emit_plan(
     # Shave the completion slot to the smallest size that still finishes
     # the residual work: the selected cap over-provisions the final slot,
     # and the spare GPUs may be exactly what a later-deadline job needs.
-    earlier = float(progress[done - 1]) if done > 0 else 0.0
     residual = required - earlier
-    final_weight = float(tail_weights[done])
+    final_weight = float(info.weights[start_slot + done])
     if final_weight > 0:
         for size in info.sizes:
             if size > x_done:
@@ -416,6 +485,21 @@ def _emit_plan(
                 plan[start_slot + done] = size
                 break
     return plan
+
+
+def _ladder_plan(
+    info: PlanningJob,
+    table: LadderTable,
+    index: int,
+    plan: np.ndarray,
+    required: float,
+    threshold: float,
+    start_slot: int,
+) -> np.ndarray:
+    """The unclamped fill of ``table``'s row ``index`` (the lemma's plan)."""
+    done, earlier = table.completion(index, threshold)
+    size = int(info.size_table[table.caps[index]])
+    return _emit_plan(info, plan, size, done, earlier, required, start_slot)
 
 
 def _progressive_filling_reference(
@@ -678,7 +762,7 @@ class AdmissionController:
            the old one, so a refill that reproduces its plan perturbs
            nothing.
         2. Otherwise bisect ``c*`` in the view's :func:`ladder_rows`
-           table (memoized on the view).  When every window slot still has
+           table.  When every window slot still has
            ``c*`` GPUs free, the lemma there makes the plan ``c*``'s row:
            a fast accept.
         3. Otherwise (a clamped window, no feasible row, no window, no
@@ -686,8 +770,7 @@ class AdmissionController:
            exact availability, exactly as the cold sequential fill would.
 
         Fast accepts and fallbacks are counted in :mod:`repro.perf.probe`
-        as ``alg1_fast_accepts`` / ``alg1_fallbacks``; ``alg1_row_reuses``
-        counts tables the view had already memoized.
+        as ``alg1_fast_accepts`` / ``alg1_fallbacks``.
         """
         horizon = grid.horizon
         capacity = self.capacity
@@ -701,7 +784,7 @@ class AdmissionController:
         degraded: set[str] = set()
         infeasible: str | None = None
         zero_plan: np.ndarray | None = None
-        reuses = refills = fast = fallbacks = table_reuses = 0
+        reuses = refills = fast = fallbacks = 0
         for info in ordered:
             info.degraded = False
             if info.best_effort:
@@ -744,21 +827,21 @@ class AdmissionController:
             plan = None
             required = info.remaining_iterations
             if w and required > _EPS:
-                # Counted when the view already holds its start-0 table.
-                table_reuses += 0 in info.__dict__.get("_ladder_tables", ())
-                _stop, caps, totals, rows = ladder_rows(info, 0)
+                table = ladder_rows(info, 0)
                 threshold = required - _EPS
-                index = bisect_left(totals, threshold)
-                if index < len(caps) and capacity - int(used[:w].max()) >= caps[index]:
+                index = bisect_left(table.totals, threshold)
+                if (
+                    index < len(table.caps)
+                    and capacity - int(used[:w].max()) >= table.caps[index]
+                ):
                     fast += 1
-                    plan = _emit_plan(
+                    plan = _ladder_plan(
                         info,
+                        table,
+                        index,
                         np.zeros(horizon, dtype=np.int64),
-                        int(info.size_table[caps[index]]),
-                        rows[index],
                         required,
                         threshold,
-                        info.weights[:w],
                         0,
                     )
             if plan is None:
@@ -781,11 +864,7 @@ class AdmissionController:
                         lo = min(lo, int(nonzero[0]))
             if w:
                 used[:w] += plan[:w]
-        counters = {
-            "alg1_fast_accepts": fast,
-            "alg1_fallbacks": fallbacks,
-            "alg1_row_reuses": table_reuses,
-        }
+        counters = {"alg1_fast_accepts": fast, "alg1_fallbacks": fallbacks}
         if previous is not None:
             counters["alg1_delta_walks"] = 1
             counters["alg1_delta_reuses"] = reuses

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.core.admission import (
     PlanningJob,
-    _emit_plan,
+    _ladder_plan,
     ladder_rows,
     progressive_filling,
 )
@@ -96,8 +96,8 @@ def _gpu_seconds_to_completion(info: PlanningJob, n_gpus: int, slot_seconds: flo
 class _LadderRows:
     """Unclamped tail fills, plus the state the upgrade loop carries.
 
-    Each job's tail table is ``ladder_rows(info, 1)``, memoized on its
-    view.  By the lemma in :func:`repro.core.admission.ladder_rows`, when
+    Each job's tail table is ``ladder_rows(info, 1)``.  By the lemma in
+    :func:`repro.core.admission.ladder_rows`, when
     ``m = min(available + own_plan)[1:stop] >= c*`` the tail refill is
     ``c*``'s row whatever the availability, so a stale unclamped proposal
     is still exactly what a rebuild would produce while ``m_now >= c*``.
@@ -165,25 +165,16 @@ class _LadderRows:
         ) * float(info.weights[0])
         if required <= _EPS:
             return head, 0
-        stop, caps, totals, rows = ladder_rows(info, 1)
+        table = ladder_rows(info, 1)
         threshold = required - _EPS
-        index = bisect_left(totals, threshold)
-        if index == len(totals):
+        index = bisect_left(table.totals, threshold)
+        if index == len(table.totals):
             return None
-        cap = caps[index]
+        cap = table.caps[index]
+        stop = table.stop
         if int((avail_slots[1:stop] + current[1:stop]).min()) < cap:
             return None
-        plan = _emit_plan(
-            info,
-            head,
-            int(info.size_table[cap]),
-            rows[index],
-            required,
-            threshold,
-            info.weights[1:stop],
-            1,
-        )
-        return plan, cap
+        return _ladder_plan(info, table, index, head, required, threshold, 1), cap
 
 
 def _propose(

@@ -58,8 +58,9 @@ class _PlanningFrame:
     carrying plain Python floats — the fill fingerprint hashes the
     identical values either way.
 
-    A refresh drops each view's memoized :func:`ladder_rows` tables in
-    the step that re-seeds its window memo: both derive from the weights.
+    The same pass seeds each view's full-slot run
+    (:meth:`PlanningJob.full_run`) next to its window memo: one comparison
+    of the weights matrix against the slot width, counted per row.
 
     ``min_share_plan`` and ``degraded`` are deliberately *not* reset on
     refresh: every fill path (cold, batched, delta, replay) overwrites
@@ -116,6 +117,8 @@ class _PlanningFrame:
         remaining *= 1.0 + policy.safety_margin
         weight_rows = grid.weights_matrix(deadlines)
         ends = grid.window_ends(deadlines)
+        slot = grid.slot_seconds
+        full = np.count_nonzero(weight_rows == slot, axis=1).tolist()
         deadline_list = deadlines.tolist()
         remaining_list = remaining.tolist()
 
@@ -124,33 +127,33 @@ class _PlanningFrame:
         for i, job in enumerate(jobs):
             view = entries.get(job.job_id)
             if view is None or validate:
-                curve = policy._planning_curve(job)
-                tables = planning_tables_for(curve, capacity)
-                if view is None or view.tables_token != tables.token:
-                    builds += 1
-                    view = PlanningJob(
-                        job_id=job.job_id,
-                        remaining_iterations=remaining_list[i],
-                        deadline=deadline_list[i],
-                        weights=weight_rows[i],
-                        throughput_table=tables.throughput_table,
-                        size_table=tables.size_table,
-                        sizes=tables.sizes,
-                        best_effort=job.spec.best_effort,
-                        tables_token=tables.token,
-                    )
-                    entries[job.job_id] = view
-                    w0 = int(ends[i])
-                    view.__dict__["_windows"] = {0: w0, 1: max(w0 - 1, 0)}
-                    views.append(view)
-                    continue
-            view.remaining_iterations = remaining_list[i]
-            view.deadline = deadline_list[i]
-            view.weights = weight_rows[i]
+                tables = planning_tables_for(policy._planning_curve(job), capacity)
+                if view is not None and view.tables_token != tables.token:
+                    view = None
+            if view is None:
+                builds += 1
+                view = PlanningJob(
+                    job_id=job.job_id,
+                    remaining_iterations=remaining_list[i],
+                    deadline=deadline_list[i],
+                    weights=weight_rows[i],
+                    throughput_table=tables.throughput_table,
+                    size_table=tables.size_table,
+                    sizes=tables.sizes,
+                    best_effort=job.spec.best_effort,
+                    tables_token=tables.token,
+                    tables=tables,
+                )
+                entries[job.job_id] = view
+            else:
+                view.remaining_iterations = remaining_list[i]
+                view.deadline = deadline_list[i]
+                view.weights = weight_rows[i]
             w0 = int(ends[i])
+            memo = view.__dict__
             # Window from slot 1 drops at most the slot-0 weight.
-            view.__dict__["_windows"] = {0: w0, 1: max(w0 - 1, 0)}
-            view.__dict__.pop("_ladder_tables", None)
+            memo["_windows"] = {0: w0, 1: max(w0 - 1, 0)}
+            memo["_full"] = (slot, full[i])
             views.append(view)
 
         evictions = 0

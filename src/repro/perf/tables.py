@@ -18,6 +18,10 @@ Contract (see ``docs/performance.md``):
   memoisation (the admission controller's previous fill) fingerprints jobs
   by this token, so a rebuilt table automatically invalidates every
   dependent cached plan.
+- Each table set lazily carries its :class:`LadderPrefix`
+  (``PlanningTables.ladder``): the distinct ladder and its constant-slot
+  prefixes, shared by every planning view of that curve and capacity and
+  dropped with the table set, so an invalidation rebuilds them too.
 - :func:`planning_cache_disabled` is the paper-literal reference: inside
   the context every lookup recomputes from the curve, bypassing and not
   populating the store.  Scheduling decisions must be identical either way
@@ -30,16 +34,20 @@ and ``repro.profiles`` import it without creating a cycle.
 from __future__ import annotations
 
 import itertools
+from array import array
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from repro.perf import probe
-from repro.perf.coherence import invalidates
+from repro.perf.coherence import coherent, invalidates, keyed
 
 __all__ = [
+    "LadderPrefix",
     "PlanningTables",
     "compute_planning_tables",
     "planning_tables_for",
@@ -74,6 +82,76 @@ class PlanningTables:
     throughput_table: np.ndarray
     size_table: np.ndarray
     token: int
+
+    @cached_property
+    def ladder(self) -> "LadderPrefix":
+        """The distinct ladder and its prefix store, shared by every view
+        of this table set and dropped with it."""
+        return LadderPrefix(self.sizes, self.throughput_table, self.size_table)
+
+
+def prefix_key(weight: float) -> float:
+    """Store key of a run of slots that all weigh ``weight`` (> 0): the
+    weight as a plain float.  Equal positive floats have equal bits, so
+    two runs with one key add bit-identical increments ``T * weight``."""
+    return float(weight)
+
+
+@coherent(caps="frozen", thr="frozen")
+@keyed(_prefixes="prefix_key")
+class LadderPrefix:
+    """The distinct unclamped ladder of one table set, with its prefixes.
+
+    ``caps`` keeps the first cap of each run of caps with the same
+    runnable size ``S[c]`` (their fills are identical) and ``thr[i]`` is
+    ``T[S[caps[i]]]``.  :meth:`prefix` returns, per kept cap, the
+    progress of a fill over a run of slots that all weigh ``weight``:
+    ``P[0] = thr * weight`` and ``P[k] = P[k-1] + thr * weight``, the
+    additions ``np.cumsum`` performs along such a run.  Rows are compact
+    ``array('d')`` and grow on demand; at most ``MAX_KEYS`` weights are
+    kept, oldest dropped first (widened grids change the slot width).
+    """
+
+    MAX_KEYS = 4
+
+    def __init__(
+        self, sizes: Sequence[int], throughput_table: np.ndarray, size_table: np.ndarray
+    ) -> None:
+        sizes_array = np.asarray(sizes, dtype=np.int64)
+        runnable = size_table[sizes_array]
+        first = np.flatnonzero(np.diff(runnable, prepend=-1))
+        self.caps: tuple[int, ...] = tuple(sizes_array[first].tolist())
+        self.thr: list[float] = throughput_table[runnable[first]].tolist()
+        self._prefixes: dict[float, list[array]] = {}
+
+    def prefix(self, weight: float, length: int) -> list[array]:
+        """Per-cap prefix rows over at least ``length`` slots of ``weight``.
+
+        A (re)build or growth counts ``ladder_prefix_builds`` in
+        :mod:`repro.perf.probe`.
+        """
+        key = prefix_key(weight)
+        rows = self._prefixes.get(key)
+        if rows is not None and len(rows[0]) >= length:
+            return rows
+        have = len(rows[0]) if rows else 0
+        probe.bump("ladder_prefix_builds")
+        if rows is None:
+            if len(self._prefixes) >= self.MAX_KEYS:
+                del self._prefixes[next(iter(self._prefixes))]
+            rows = self._prefixes[key] = [array("d") for _ in self.caps]
+        # Column 0 carries each row's last entry (0.0 for a new row, and
+        # 0.0 + x == x), so the cumsum continues the run bit for bit.
+        block = np.repeat(
+            np.asarray(self.thr, dtype=np.float64)[:, None] * key,
+            length - have + 1,
+            axis=1,
+        )
+        block[:, 0] = [row[-1] if have else 0.0 for row in rows]
+        grown = np.cumsum(block, axis=1)[:, 1:]
+        for row, new in zip(rows, grown):
+            row.frombytes(new.tobytes())
+        return rows
 
 
 _token_counter = itertools.count()

@@ -138,10 +138,10 @@ class TestPlateauLadder:
         info = synthetic_planning_job(
             "p", 3.0, 4.0, unit_grid(), 12, PLATEAU_CURVE
         )
-        stop, caps, totals, rows = ladder_rows(info, 0)
-        assert caps == (1, 2, 8)
-        assert rows.shape == (3, stop) and not rows.flags.writeable
-        assert totals == sorted(totals)
+        table = ladder_rows(info, 0)
+        assert table.caps == (1, 2, 8)
+        assert table.full + len(table.tail) == table.stop
+        assert table.totals == sorted(table.totals)
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -6,7 +6,7 @@ vectorized sim advance (``engine._ProgressSoA``).  Their decision parity
 against the cache-disabled reference is asserted end to end in
 ``tests/test_perf_equivalence.py``; this module pins the supporting
 invariants (the slot-grid batch math the frame relies on, the rate-memo
-eviction, the per-view ladder tables).
+eviction, the full-slot seeds the ladder tables read).
 """
 
 import math
@@ -138,10 +138,10 @@ def test_rate_memo_evicted_at_completion():
 
 # ------------------------------------------------------ per-view ladders
 class TestEventRowStore:
-    """Each view memoizes its ladder tables (:func:`ladder_rows`); the
-    planning frame must drop them whenever a refresh moves the grid, and
-    the fast accepts they serve must land plans bit-identical to the
-    sequential fill."""
+    """Ladder tables (:func:`ladder_rows`) read each view's full-slot run,
+    which the planning frame seeds on every refresh; a refresh that moves
+    the grid must re-seed it, and the fast accepts the tables serve must
+    land plans bit-identical to the sequential fill."""
 
     THR = {1: 1.0, 2: 1.8, 8: 3.0}
     CAPACITY = 9
@@ -180,22 +180,21 @@ class TestEventRowStore:
         ]
         first = policy._frame.refresh(jobs, policy._grid(0.0, jobs))
         old = [(ladder_rows(view, 0), ladder_rows(view, 1)) for view in first]
-        for view, (rows0, rows1) in zip(first, old):
-            # Memoized per view and start, and frozen: fills share rows.
-            assert ladder_rows(view, 0) is rows0 and ladder_rows(view, 1) is rows1
-            assert not rows0[3].flags.writeable and not rows1[3].flags.writeable
-        # A new origin rewrites every view's weights in place; the refresh
-        # must drop the tables derived from the old weights.
+        # A new origin rewrites every view's weights in place; the tables
+        # built after it must follow the new weights (a stale full-slot
+        # seed would read one prefix slot too many).
         second = policy._frame.refresh(jobs, policy._grid(300.0, jobs))
         assert all(a is b for a, b in zip(first, second))
         for view, tables in zip(second, old):
-            fresh = replace(view)  # same inputs, nothing memoized
+            fresh = replace(view)  # same inputs, nothing seeded
+            assert view.full_run() == fresh.full_run()
             for start, stale in enumerate(tables):
                 table = ladder_rows(view, start)
                 expected = ladder_rows(fresh, start)
-                assert table is not stale
-                assert table[:3] == expected[:3] != stale[:3]
-                assert np.array_equal(table[3], expected[3])
+                assert table[:4] == expected[:4]
+                assert table.totals != stale.totals
+                assert table.prefix == expected.prefix
+                assert table.tail == expected.tail
 
     def test_delta_fast_accepts_are_bit_identical(self):
         from repro.core.admission import AdmissionController
@@ -244,7 +243,7 @@ class TestEventRowStore:
         counters = probe.counters()
         assert "alg1_delta_walks" not in counters
         assert "alg1_fast_accepts" not in counters
-        assert not any("_ladder_tables" in info.__dict__ for info in cold_infos)
+        assert not any("_ladder" in info.__dict__ for info in cold_infos)
         assert set(trial.plans) == set(cold.plans)
         for job_id, plan in cold.plans.items():
             assert np.array_equal(trial.plans[job_id], plan), job_id
