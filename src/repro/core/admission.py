@@ -157,12 +157,13 @@ class PlanningJob:
     def full_run(self) -> tuple[float, int]:
         """``(weight, n)``: the weights open with ``n`` slots of exactly ``weight``.
 
-        The planning frame seeds the grid's slot width and its count of
-        full slots (frame weights never increase and are capped at the
-        slot width, so full slots come first).  Other views take the run
-        of their first weight, once, if it spans two slots or more: a
-        shorter run saves nothing, and a partial first slot would key a
-        prefix no other view shares.
+        ``n`` is the run of the first weight, or 0 when that run is
+        shorter than two slots: a one-slot prefix saves nothing, and a
+        partial first slot would key a prefix no other view shares.
+        Computed once per view; the planning frame seeds the same value
+        (frame weights never increase and are capped at the slot width,
+        so the run of full slots comes first) from one comparison of its
+        weights matrix.
         """
         run = self.__dict__.get("_full")
         if run is None:

@@ -59,8 +59,10 @@ class _PlanningFrame:
     identical values either way.
 
     The same pass seeds each view's full-slot run
-    (:meth:`PlanningJob.full_run`) next to its window memo: one comparison
-    of the weights matrix against the slot width, counted per row.
+    (:meth:`PlanningJob.full_run`, same rule) next to its window memo: one
+    comparison of the weights matrix against the slot width, counted per
+    row.  Seeding measured faster on large-model than computing it per
+    view (``docs/performance.md``, "The prefix lemma").
 
     ``min_share_plan`` and ``degraded`` are deliberately *not* reset on
     refresh: every fill path (cold, batched, delta, replay) overwrites
@@ -118,7 +120,9 @@ class _PlanningFrame:
         weight_rows = grid.weights_matrix(deadlines)
         ends = grid.window_ends(deadlines)
         slot = grid.slot_seconds
-        full = np.count_nonzero(weight_rows == slot, axis=1).tolist()
+        full = np.count_nonzero(weight_rows == slot, axis=1)
+        full[full < 2] = 0  # the rule of PlanningJob.full_run
+        full = full.tolist()
         deadline_list = deadlines.tolist()
         remaining_list = remaining.tolist()
 

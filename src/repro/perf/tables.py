@@ -20,7 +20,7 @@ Contract (see ``docs/performance.md``):
   dependent cached plan.
 - Each table set lazily carries its :class:`LadderPrefix`
   (``PlanningTables.ladder``): the distinct ladder and its constant-slot
-  prefixes, shared by every planning view of that curve and capacity and
+  prefix, shared by every planning view of that curve and capacity and
   dropped with the table set, so an invalidation rebuilds them too.
 - :func:`planning_cache_disabled` is the paper-literal reference: inside
   the context every lookup recomputes from the curve, bypassing and not
@@ -98,9 +98,9 @@ def prefix_key(weight: float) -> float:
 
 
 @coherent(caps="frozen", thr="frozen")
-@keyed(_prefixes="prefix_key")
+@keyed(_prefix="prefix_key")
 class LadderPrefix:
-    """The distinct unclamped ladder of one table set, with its prefixes.
+    """The distinct unclamped ladder of one table set, with its prefix.
 
     ``caps`` keeps the first cap of each run of caps with the same
     runnable size ``S[c]`` (their fills are identical) and ``thr[i]`` is
@@ -108,11 +108,11 @@ class LadderPrefix:
     progress of a fill over a run of slots that all weigh ``weight``:
     ``P[0] = thr * weight`` and ``P[k] = P[k-1] + thr * weight``, the
     additions ``np.cumsum`` performs along such a run.  Rows are compact
-    ``array('d')`` and grow on demand; at most ``MAX_KEYS`` weights are
-    kept, oldest dropped first (widened grids change the slot width).
+    ``array('d')`` and grow on demand.  One weight is held at a time: the
+    planning grid's slot width, the same at every event unless the grid
+    is widened, and a widened width changes with every event, so a
+    second entry would never be read again.
     """
-
-    MAX_KEYS = 4
 
     def __init__(
         self, sizes: Sequence[int], throughput_table: np.ndarray, size_table: np.ndarray
@@ -122,7 +122,8 @@ class LadderPrefix:
         first = np.flatnonzero(np.diff(runnable, prepend=-1))
         self.caps: tuple[int, ...] = tuple(sizes_array[first].tolist())
         self.thr: list[float] = throughput_table[runnable[first]].tolist()
-        self._prefixes: dict[float, list[array]] = {}
+        # No prefix yet: every key is a positive weight, never 0.0.
+        self._prefix: tuple[float, list[array]] = (0.0, [])
 
     def prefix(self, weight: float, length: int) -> list[array]:
         """Per-cap prefix rows over at least ``length`` slots of ``weight``.
@@ -131,15 +132,14 @@ class LadderPrefix:
         :mod:`repro.perf.probe`.
         """
         key = prefix_key(weight)
-        rows = self._prefixes.get(key)
-        if rows is not None and len(rows[0]) >= length:
+        held, rows = self._prefix
+        if held == key and len(rows[0]) >= length:
             return rows
-        have = len(rows[0]) if rows else 0
         probe.bump("ladder_prefix_builds")
-        if rows is None:
-            if len(self._prefixes) >= self.MAX_KEYS:
-                del self._prefixes[next(iter(self._prefixes))]
-            rows = self._prefixes[key] = [array("d") for _ in self.caps]
+        if held != key:
+            rows = [array("d") for _ in self.caps]
+            self._prefix = (key, rows)
+        have = len(rows[0])
         # Column 0 carries each row's last entry (0.0 for a new row, and
         # 0.0 + x == x), so the cumsum continues the run bit for bit.
         block = np.repeat(

@@ -32,7 +32,7 @@ from repro.core.plan import Ledger
 from repro.core.scheduler import ElasticFlowPolicy
 from repro.numeric import EPS
 from repro.perf import probe
-from repro.perf.tables import reset_cache
+from repro.perf.tables import LadderPrefix, planning_tables_for, reset_cache
 from repro.profiles import ThroughputModel
 from repro.profiles.online import OnlineThroughputModel
 from repro.sim.interface import PolicyContext
@@ -212,7 +212,13 @@ class TestFrameViews:
     def test_tables_and_fills_bit_identical(self, views, draw_index, draw_slot, ulps):
         for view in views:
             weight, run = view.full_run()
-            assert run == int(np.count_nonzero(view.weights == weight))
+            count = int(np.count_nonzero(view.weights == weight))
+            assert run == (count if count >= 2 else 0)
+            # The frame's seed follows the rule of the unseeded path.
+            fresh = replace(view)
+            assert fresh.full_run()[1] == run
+            if run:
+                assert fresh.full_run()[0] == weight
             for start in (0, 1):
                 assert_bit_identical(view, start)
             works = works_for(ladder_rows(view, 0), draw_index, draw_slot, ulps)
@@ -256,6 +262,29 @@ class TestFrameViews:
         ladder_rows(a, 1)
         assert probe.counters()["ladder_prefix_builds"] == 1
         assert len(b.tables.ladder.prefix(600.0, 1)[0]) == b.full_run()[1]
+
+
+class TestPrefixStore:
+    def test_one_width_held_and_grown_in_place(self):
+        tables = planning_tables_for(ThroughputModel().curve("resnet50", 128), 16)
+        ladder = LadderPrefix(tables.sizes, tables.throughput_table, tables.size_table)
+        thr = np.asarray(ladder.thr)[:, None]
+
+        def expected(weight, length):
+            return np.cumsum(np.repeat(thr * weight, length, axis=1), axis=1)
+
+        probe.reset_counters()
+        rows = ladder.prefix(600.0, 3)
+        assert ladder.prefix(600.0, 2) is rows  # long enough: no build
+        assert ladder.prefix(600.0, 5) is rows  # grown in place
+        assert np.asarray(rows).tobytes() == expected(600.0, 5).tobytes()
+        widened = ladder.prefix(734.5, 2)  # another width replaces it
+        assert widened is not rows
+        assert np.asarray(widened).tobytes() == expected(734.5, 2).tobytes()
+        again = ladder.prefix(600.0, 4)
+        assert again is not rows
+        assert np.asarray(again).tobytes() == expected(600.0, 4).tobytes()
+        assert probe.counters()["ladder_prefix_builds"] == 4
 
 
 # ------------------------------------------------------------ hand-built
