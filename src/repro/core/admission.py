@@ -25,7 +25,7 @@ from repro.core.plan import Ledger
 from repro.core.slots import SlotGrid
 from repro.errors import ConfigurationError
 from repro.numeric import EPS
-from repro.perf.coherence import coherent, keyed, mutates
+from repro.perf.coherence import coherent, mutates
 from repro.perf import probe
 from repro.perf.tables import (
     LadderPrefix,
@@ -63,8 +63,9 @@ class PlanningJob:
     """Everything the planning algorithms need to know about one job.
 
     Table-identity state (tables, sizes, token) is declared *frozen*
-    coherent state: downstream fill fingerprints hash it via
-    ``tables_token``, so mutating it after construction would silently
+    coherent state: the admission controller's previous fill records each
+    plan's ``tables_token`` and reuses the plan only while the token
+    matches, so mutating it after construction would silently
     desynchronise cached plans — a view is rebuilt, never patched, when
     its tables change.  The event-dependent planning inputs (remaining
     work, padded deadline, weight row) belong to the ``planning_frame``
@@ -87,8 +88,9 @@ class PlanningJob:
         best_effort: Whether the job is exempt from admission control.
         tables_token: Build token of the memoized planning tables this view
             was derived from (see :mod:`repro.perf.tables`); ``-1`` for
-            hand-built views.  Fingerprint-based plan caching is skipped
-            whenever any participating job carries ``-1``.
+            hand-built views.  The admission controller's previous fill
+            is neither read nor stored whenever any participating job
+            carries ``-1``.
         tables: The memoized table set itself (``None`` for hand-built
             views); its :class:`~repro.perf.tables.LadderPrefix` serves
             :func:`ladder_rows`.
@@ -575,53 +577,40 @@ class AdmissionResult:
 
 @dataclass
 class _PreviousFill:
-    """The controller's last fingerprinted fill.
+    """The controller's last fill, walked against by the next fill on the
+    same grid (:meth:`AdmissionController._walk`).
 
-    Replayed when the next fill's fingerprint equals ``key``, and walked
-    against (:meth:`AdmissionController._walk`) when only the grid part
-    ``key[:3]`` does.  Plans are frozen at registration time and ``used``
-    is never edited in place, so all of them are kept by reference.
+    Plans are frozen at registration time, so they are kept by reference.
 
     Attributes:
-        key: The fill's fingerprint (see ``_fingerprint``).
+        grid: ``(origin, slot_seconds, horizon)`` of the fill's grid.
         order: The SLO jobs in fill order, each as
             ``(deadline, job_id, remaining_iterations, tables_token)``.
         plans: Plan per job id, best-effort zero plans included.
         degraded: Jobs whose deadlines were unmeetable in that fill.
-        admitted: The fill's verdict.
-        infeasible: The first infeasible job, if any.
-        used: The fill's occupancy vector.
     """
 
-    key: tuple
+    grid: tuple[float, float, int]
     order: list[tuple[float, str, float, int]]
     plans: dict[str, np.ndarray]
     degraded: frozenset[str]
-    admitted: bool
-    infeasible: str | None
-    used: np.ndarray
 
 
-@keyed(_previous="_fingerprint")
 class AdmissionController:
     """Algorithm 1: deadline-ordered progressive filling over all jobs.
 
-    The controller keeps its previous fill (``_previous``), keyed by a
-    fingerprint of the participating jobs and the grid: on every
-    scheduling event the policy runs Algorithm 1 two to three times
-    (admission baseline, admission trial, then the allocation pass), and
-    a fill whose fingerprint equals the previous one is replayed.
-    Fingerprints include each job's planning-table token, so a throughput
-    correction (online profiling) automatically invalidates dependent
-    fills.  The previous fill is bypassed entirely while
-    :func:`repro.perf.tables.planning_cache_disabled` is active or when any
-    job carries a hand-built table (token ``-1``).
-
-    Any other fill runs the commit walk (:meth:`_walk`), which reuses
-    plans from the previous fill when it ran on the same grid and
-    fast-accepts unclamped fills from each view's :func:`ladder_rows`
-    table.  Replays and walks are counted in :mod:`repro.perf.probe`
-    (``alg1_memo_*``, ``alg1_delta_*``).
+    On every scheduling event the policy runs Algorithm 1 two to three
+    times (admission baseline, admission trial, then the allocation pass).
+    Every fill runs the commit walk (:meth:`_walk`), which fast-accepts
+    unclamped fills from each view's :func:`ladder_rows` table and, when
+    the controller's previous fill (``_previous``) ran on the same grid,
+    reuses its plans for every job whose view and capacity prefix are
+    unchanged; an exact repeat reuses every plan.  Views carry their
+    planning-table token, so a throughput correction (online profiling)
+    refills the corrected job.  The previous fill is neither read nor
+    stored while either reference switch of :mod:`repro.perf.tables` is
+    active or when any job carries a hand-built table (token ``-1``).
+    Walks are counted in :mod:`repro.perf.probe` (``alg1_delta_*``).
 
     Args:
         capacity: Number of GPUs in the cluster.
@@ -632,60 +621,6 @@ class AdmissionController:
             raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._previous: _PreviousFill | None = None
-
-    # ------------------------------------------------------------- caching
-    def _fingerprint(
-        self, infos: list[PlanningJob], grid: SlotGrid
-    ) -> tuple | None:
-        """Hashable identity of one fill, or ``None`` when uncacheable."""
-        jobs = []
-        for info in infos:
-            if info.tables_token < 0:
-                return None
-            jobs.append(
-                (
-                    info.job_id,
-                    info.remaining_iterations,
-                    info.deadline,
-                    info.best_effort,
-                    info.tables_token,
-                )
-            )
-        return (
-            grid.origin,
-            grid.slot_seconds,
-            grid.horizon,
-            tuple(sorted(jobs)),
-        )
-
-    @mutates("Ledger._plans", "Ledger._used")
-    def _replay(
-        self, infos: list[PlanningJob], grid: SlotGrid, previous: _PreviousFill
-    ) -> AdmissionResult:
-        """Reconstruct the previous fill, including info side effects.
-
-        Its plans *and* its occupancy vector are frozen arrays, so the
-        replay shares them by reference — one ``load_plans`` bulk
-        restore, no per-job column summation (the ledger's mutators rebind
-        ``_used`` instead of writing in place, so adopting the shared
-        read-only vector is safe even though Algorithm 2 edits the ledger
-        afterwards).
-        """
-        out_plans: dict[str, np.ndarray] = {}
-        for info in infos:
-            plan = previous.plans[info.job_id]
-            info.degraded = info.job_id in previous.degraded
-            info.min_share_plan = plan
-            out_plans[info.job_id] = plan
-        ledger = Ledger(self.capacity, grid.horizon)
-        ledger.load_plans(out_plans, previous.used)
-        return AdmissionResult(
-            admitted=previous.admitted,
-            plans=out_plans,
-            ledger=ledger,
-            infeasible_job=previous.infeasible,
-            degraded=set(previous.degraded),
-        )
 
     def plan_shares(
         self, infos: list[PlanningJob], grid: SlotGrid
@@ -701,31 +636,25 @@ class AdmissionController:
         which ``infeasible_job`` names, the fill is exactly the hard
         Algorithm 1 of the paper, so ``admitted`` is its verdict.
 
-        One dispatch serves every path: a fingerprint equal to the
-        previous fill's replays it; otherwise the commit walk
-        (:meth:`_walk`) runs, against the previous fill when it ran on the
-        same grid, cold when not; with the planning cache or the ladder
-        tables switched off, :meth:`_fill_sequential` runs instead.  A
-        fingerprinted fill becomes the new previous fill.
+        One dispatch serves every path: with the planning cache or the
+        ladder tables switched off, :meth:`_fill_sequential` runs;
+        otherwise the commit walk (:meth:`_walk`) runs, against the
+        previous fill when it ran on the same grid and every view carries
+        a token, cold when not.  A fill whose views all carry a token
+        becomes the new previous fill.
         """
-        key = self._fingerprint(infos, grid) if cache_enabled() else None
-        previous = self._previous if key is not None else None
-        if previous is not None and previous.key == key:
-            probe.bump("alg1_memo_hits")
-            return self._replay(infos, grid, previous)
-        if key is not None:
-            probe.bump("alg1_memo_misses")
         ordered = sorted(infos, key=_deadline_order)
         if not (cache_enabled() and batching_enabled()):
-            result = self._fill_sequential(ordered, grid)
-        else:
-            grid_key = (grid.origin, grid.slot_seconds, grid.horizon)
-            if previous is not None and previous.key[:3] != grid_key:
-                previous = None
-            result = self._walk(ordered, grid, previous)
-        if key is not None:
+            return self._fill_sequential(ordered, grid)
+        grid_key = (grid.origin, grid.slot_seconds, grid.horizon)
+        tokened = all(info.tables_token >= 0 for info in ordered)
+        previous = self._previous
+        if not tokened or previous is None or previous.grid != grid_key:
+            previous = None
+        result = self._walk(ordered, grid, previous)
+        if tokened:
             self._previous = _PreviousFill(
-                key=key,
+                grid=grid_key,
                 order=[
                     (info.deadline, info.job_id, info.remaining_iterations,
                      info.tables_token)
@@ -734,9 +663,6 @@ class AdmissionController:
                 ],
                 plans=dict(result.plans),
                 degraded=frozenset(result.degraded),
-                admitted=result.admitted,
-                infeasible=result.infeasible_job,
-                used=result.ledger.used,
             )
         return result
 

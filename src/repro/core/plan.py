@@ -138,16 +138,13 @@ class Ledger:
     def load_plans(self, plans: dict[str, np.ndarray], used: np.ndarray) -> None:
         """Wholesale-replace every plan from a pre-validated snapshot.
 
-        The bulk restore behind the admission controller's replay and
-        departure-delta paths: ``plans`` must be exactly the per-job plans
-        whose column sum is ``used`` (the caller owns that invariant —
-        both paths derive the pair from plans progressive filling already
-        bounded by capacity).  Adopted arrays are frozen in place, like
+        The bulk load behind the admission controller's commit walk:
+        ``plans`` must be exactly the per-job plans whose column sum is
+        ``used`` (the caller owns that invariant — the walk sums the pair
+        from plans progressive filling already bounded by capacity).
+        Adopted arrays are frozen in place, like
         ``set_plan(trusted=True)``, so :meth:`plan_view` can keep handing
-        out stored arrays.  ``used`` may be shared (even read-only): every
-        mutator *rebinds* ``_used`` to a fresh array instead of writing in
-        place, so adopted vectors — including the admission controller's
-        frozen previous fill — are never corrupted by later ledger edits.
+        out stored arrays; ``used`` is adopted without a copy.
         """
         for plan in plans.values():
             plan.flags.writeable = False
@@ -161,8 +158,8 @@ class Ledger:
         plan = self._plans.pop(job_id, None)
         if plan is None:
             raise SchedulingError(f"no plan registered for job {job_id!r}")
-        # Rebind rather than subtract in place: ``_used`` may be an array
-        # adopted from (and still referenced by) a cached fill snapshot.
+        # Rebind rather than subtract in place, like every mutator: views
+        # handed out by ``used`` must keep the values they were read with.
         self._used = self._used - plan
         self._bump_version()
 

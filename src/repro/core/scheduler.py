@@ -55,7 +55,7 @@ class _PlanningFrame:
     padding``), the weight rows and window ends equal
     ``weights_until``/per-view windows (the slot-grid property tests pin
     this), and write-backs go through ``.tolist()`` so views keep
-    carrying plain Python floats — the fill fingerprint hashes the
+    carrying plain Python floats — the previous fill compares the
     identical values either way.
 
     The same pass seeds each view's full-slot run
@@ -65,8 +65,9 @@ class _PlanningFrame:
     view (``docs/performance.md``, "The prefix lemma").
 
     ``min_share_plan`` and ``degraded`` are deliberately *not* reset on
-    refresh: every fill path (cold, batched, delta, replay) overwrites
-    both for every participating view before anything reads them.
+    refresh: every fill path (the commit walk, cold or delta, and the
+    sequential fill) overwrites both for every participating view before
+    anything reads them.
     """
 
     def __init__(self, policy: "ElasticFlowPolicy") -> None:
@@ -87,7 +88,7 @@ class _PlanningFrame:
 
         This method is the ``planning_frame`` invalidation point: the
         mutated inputs and every derived per-view memo (the window seed and
-        the ladder tables) are rewritten together, so callers observe only
+        the full-slot run) are rewritten together, so callers observe only
         fully refreshed views.
         """
         policy = self._policy
@@ -312,8 +313,8 @@ class ElasticFlowPolicy(SchedulerPolicy):
 
         No event-level result cache lives here (grids re-anchor per event,
         so cross-event hits are impossible — see ``docs/performance.md``);
-        a repeated solve *within* one event is replayed from the admission
-        controller's previous fill.
+        a repeated solve *within* one event is a commit walk that reuses
+        every plan of the admission controller's previous fill.
         """
         if not active:
             return {}

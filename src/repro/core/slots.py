@@ -36,9 +36,11 @@ class SlotGrid:
     horizon: int
 
     def __post_init__(self) -> None:
-        if self.slot_seconds <= 0:
+        # Written as ``not (...)`` so NaN, which fails every comparison, is
+        # rejected too.
+        if not 0 < self.slot_seconds < math.inf:
             raise ConfigurationError(
-                f"slot_seconds must be > 0, got {self.slot_seconds}"
+                f"slot_seconds must be finite and > 0, got {self.slot_seconds}"
             )
         if self.horizon < 1:
             raise ConfigurationError(f"horizon must be >= 1, got {self.horizon}")

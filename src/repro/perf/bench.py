@@ -617,8 +617,7 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"counters: alg1 delta {counters.get('alg1_delta_walks', 0)} walks "
         f"({counters.get('alg1_delta_reuses', 0)} reused / "
-        f"{counters.get('alg1_delta_refills', 0)} refilled), "
-        f"{counters.get('alg1_memo_hits', 0)} replays"
+        f"{counters.get('alg1_delta_refills', 0)} refilled)"
     )
     print(f"report written to {output}")
     return 0

@@ -15,8 +15,8 @@ Contract (see ``docs/performance.md``):
   :func:`invalidate_planning_tables` whenever its answers move; the
   online model does this whenever an observation moves a correction.
 - Every table set carries a monotonically increasing ``token``.  Downstream
-  memoisation (the admission controller's previous fill) fingerprints jobs
-  by this token, so a rebuilt table automatically invalidates every
+  memoisation (the admission controller's previous fill) records this
+  token with each plan, so a rebuilt table automatically invalidates every
   dependent cached plan.
 - Each table set lazily carries its :class:`LadderPrefix`
   (``PlanningTables.ladder``): the distinct ladder and its constant-slot
@@ -75,7 +75,7 @@ class PlanningTables:
         token: Monotone build counter; two lookups returning the same token
             are guaranteed to hold identical tables.  Fresh computations
             (cache disabled, or a post-invalidation rebuild) always receive
-            a new token, so stale fingerprints can never collide.
+            a new token, so stale plans can never be reused.
     """
 
     sizes: tuple[int, ...]
@@ -220,7 +220,7 @@ def invalidate_planning_tables(curve) -> None:
 
     Call this whenever the curve's ``throughput`` answers may have changed;
     the next lookup rebuilds with a fresh token, which also invalidates any
-    downstream plan fingerprints.  The curve's *revision* is bumped even if
+    downstream plan that recorded the old one.  The curve's *revision* is bumped even if
     no table was cached, so revision-keyed memos elsewhere (e.g. the
     simulator's per-placement rate memo) always see the change.  The
     module-wide :func:`tables_global_revision` counter advances too, so
@@ -304,6 +304,9 @@ def batched_solver_disabled():
     ladder-table solvers against the paper-literal loop of each algorithm
     (per-job 2-D scan fills; every stale Algorithm 2 pop rebuilt), the
     same loops :func:`planning_cache_disabled` runs on the reference scan.
+    Every Algorithm 1 fill is solved cold: the admission controller's
+    previous fill is neither read nor stored, so the yardstick shares no
+    reuse code with production.
     """
     global _batching
     previous, _batching = _batching, False

@@ -119,7 +119,8 @@ class Simulator:
         throughput: Throughput model shared by the policy and the engine
             (the paper's profiled curves).  A default model is built when
             omitted.
-        slot_seconds: Planning-slot width and periodic re-plan interval.
+        slot_seconds: Planning-slot width and periodic re-plan interval
+            (finite and > 0).
         executor: Overhead model for elastic scaling; defaults to the
             calibrated PyTorch checkpoint/restore model.
         record_timeline: Keep per-event cluster samples (Figs 7 and 10).

@@ -10,6 +10,7 @@ holds until the next scheduling event.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -42,9 +43,11 @@ class PolicyContext:
     usable_gpus: int = 0  # maintained by the engine; shrinks on node failure
 
     def __post_init__(self) -> None:
-        if self.slot_seconds <= 0:
+        # Written as ``not (...)`` so NaN, which fails every comparison, is
+        # rejected too; an infinite slot would silently drop every job.
+        if not 0 < self.slot_seconds < math.inf:
             raise ConfigurationError(
-                f"slot_seconds must be > 0, got {self.slot_seconds}"
+                f"slot_seconds must be finite and > 0, got {self.slot_seconds}"
             )
         if self.usable_gpus <= 0:
             self.usable_gpus = self.cluster.total_gpus

@@ -31,8 +31,9 @@ class TestSlotGrid:
             grid.slot_of(9.0)
 
     def test_invalid_construction(self):
-        with pytest.raises(ConfigurationError):
-            SlotGrid(origin=0.0, slot_seconds=0.0, horizon=5)
+        for slot_seconds in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ConfigurationError):
+                SlotGrid(origin=0.0, slot_seconds=slot_seconds, horizon=5)
         with pytest.raises(ConfigurationError):
             SlotGrid(origin=0.0, slot_seconds=1.0, horizon=0)
 

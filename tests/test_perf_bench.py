@@ -58,7 +58,11 @@ def test_main_writes_report(tmp_path, tiny_bench, capsys):
     printed = capsys.readouterr().out
     assert "end-to-end" in printed
     assert "buddy" in printed
-    assert f"{counters.get('alg1_memo_hits', 0)} replays" in printed
+    assert (
+        f"alg1 delta {counters.get('alg1_delta_walks', 0)} walks "
+        f"({counters.get('alg1_delta_reuses', 0)} reused / "
+        f"{counters.get('alg1_delta_refills', 0)} refilled)\n" in printed
+    )
 
 
 @pytest.mark.parametrize("suite", ["core", "figures"])

@@ -180,9 +180,13 @@ class TestWindowedSums:
 @st.composite
 def controller_scenarios(draw):
     """A randomized multi-job admission instance plus a perturbation
-    sequence: each step re-plans some subset of the jobs with rescaled
-    remaining work, exercising the delta walk's departures, arrivals,
-    watermark reuses, and refills."""
+    sequence.  The first step plans a subset of the jobs; each later step
+    either re-plans a new subset with rescaled remaining work (departures,
+    arrivals, watermark reuses and refills), repeats the previous step
+    verbatim (an exact repeat: the walk reuses every plan), repeats it
+    with one job's throughput table scaled under a new token (an
+    online-profiling correction), or repeats it on a grid shifted by one
+    slot (the previous fill must not be walked against)."""
     horizon = draw(st.integers(min_value=4, max_value=10))
     capacity = draw(st.sampled_from([4, 8]))
     n_jobs = draw(st.integers(min_value=2, max_value=5))
@@ -213,22 +217,36 @@ def controller_scenarios(draw):
             else draw(st.floats(min_value=0.5, max_value=float(horizon)))
         )
         jobs.append((f"j{i}", remaining, deadline, thr, best_effort))
-    n_steps = draw(st.integers(min_value=2, max_value=4))
+    n_steps = draw(st.integers(min_value=2, max_value=5))
+    origin = 0.0
+    corrections: dict[int, tuple[float, int]] = {}  # idx -> (scale, token)
     steps = []
-    for _ in range(n_steps):
-        live = sorted(
-            draw(
-                st.sets(
-                    st.integers(min_value=0, max_value=n_jobs - 1), min_size=1
+    for number in range(n_steps):
+        kind = "new"
+        if steps:
+            kind = draw(st.sampled_from(["new", "repeat", "correct", "shift"]))
+        if kind == "new":
+            live = sorted(
+                draw(
+                    st.sets(
+                        st.integers(min_value=0, max_value=n_jobs - 1),
+                        min_size=1,
+                    )
                 )
             )
-        )
-        steps.append(
-            [
+            step = [
                 (idx, draw(st.floats(min_value=0.3, max_value=1.0)))
                 for idx in live
             ]
-        )
+        else:
+            step = steps[-1][1]
+        if kind == "correct":
+            idx = draw(st.sampled_from([idx for idx, _ in step]))
+            scale = draw(st.sampled_from([0.5, 0.8, 1.25, 2.0]))
+            corrections = {**corrections, idx: (scale, 100 + number)}
+        elif kind == "shift":
+            origin += 1.0
+        steps.append((origin, step, corrections))
     return horizon, capacity, jobs, steps
 
 
@@ -237,28 +255,32 @@ def _run_scenario(scenario, mode):
 
     Fresh planning views are built per run from the same concrete scenario
     data, so every mode plans identical inputs; ``reference`` re-solves
-    each step from scratch under the cache-disabled escape hatch."""
+    each step from scratch under the cache-disabled escape hatch, and
+    ``cold`` solves each step with a fresh controller."""
     horizon, capacity, jobs, steps = scenario
-    grid = SlotGrid(origin=0.0, slot_seconds=1.0, horizon=horizon)
     ctrl = AdmissionController(capacity)
     outputs = []
-    for step in steps:
+    for origin, step, corrections in steps:
+        grid = SlotGrid(origin=origin, slot_seconds=1.0, horizon=horizon)
         infos = []
         for idx, factor in step:
             job_id, remaining, deadline, thr, best_effort = jobs[idx]
+            scale, token = corrections.get(idx, (1.0, idx + 1))
             info = synthetic_planning_job(
                 job_id,
                 remaining * factor,
                 deadline,
                 grid,
                 capacity,
-                thr,
+                {size: rate * scale for size, rate in thr.items()},
                 best_effort=best_effort,
             )
-            infos.append(replace(info, tables_token=idx + 1))
+            infos.append(replace(info, tables_token=token))
         if mode == "reference":
             with planning_cache_disabled():
                 result = ctrl.plan_shares(infos, grid)
+        elif mode == "cold":
+            result = AdmissionController(capacity).plan_shares(infos, grid)
         else:
             result = ctrl.plan_shares(infos, grid)
         outputs.append(
@@ -275,8 +297,8 @@ def _run_scenario(scenario, mode):
 
 class TestBatchedSolverEquivalence:
     """The batched commit walk (cold and delta) must be bit-identical to
-    the sequential per-job solver and to the cache-disabled reference
-    across whole perturbation sequences."""
+    the sequential per-job solver, to the cache-disabled reference and to
+    a fresh controller's cold fill across whole perturbation sequences."""
 
     @settings(max_examples=80, deadline=None)
     @given(controller_scenarios())
@@ -285,8 +307,9 @@ class TestBatchedSolverEquivalence:
         with batched_solver_disabled():
             sequential = _run_scenario(scenario, "sequential")
         reference = _run_scenario(scenario, "reference")
-        for fast, slow, ref in zip(batched, sequential, reference):
-            for other in (slow, ref):
+        cold = _run_scenario(scenario, "cold")
+        for fast, *others in zip(batched, sequential, reference, cold):
+            for other in others:
                 assert set(fast[0]) == set(other[0])
                 for job_id in fast[0]:
                     assert np.array_equal(fast[0][job_id], other[0][job_id])

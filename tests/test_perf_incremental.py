@@ -1,9 +1,9 @@
 """Tests for the incremental replanning layer.
 
-Covers the two roles of ``AdmissionController``'s previous fill — the
-exact-match replay and the event-delta walk (watermark reuse) — and the
-ladder-table fast accepts of the cold walk, plus the phase probe and the
-policy's single controller.  The load-bearing property throughout is
+Covers the event-delta walk against ``AdmissionController``'s previous
+fill (watermark reuse, exact repeats included) and the ladder-table fast
+accepts of the cold walk, plus the phase probe and the policy's single
+controller.  The load-bearing property throughout is
 *bit-identical decisions*: every fast path must reproduce exactly what the
 cold solve (and the cache-disabled reference) would have produced.
 """
@@ -63,8 +63,8 @@ def tokened_job(
     """A synthetic planning view carrying a cacheable table token.
 
     The conftest helper builds hand-tabled views (token ``-1``), which the
-    fingerprint paths deliberately refuse to cache; these tests need views
-    that *do* fingerprint, so the token is stamped on a copy.
+    controller deliberately never walks against; these tests need views
+    that it does, so the token is stamped on a copy.
     """
     info = synthetic_planning_job(
         job_id, remaining, deadline, grid, capacity, thr, best_effort=best_effort
@@ -106,9 +106,10 @@ def _runtime_jobs(n=3) -> list[Job]:
 
 
 class TestRepeatedRounds:
-    """Identical repeat rounds replay from the admission fill memo (the
-    round-fingerprint layer that used to sit above it structurally never
-    hit across events and was removed — see ``docs/performance.md``)."""
+    """Identical repeat rounds reuse every plan of the admission
+    controller's previous fill (the round-fingerprint layer that used to
+    sit above it structurally never hit across events and was removed —
+    see ``docs/performance.md``)."""
 
     def test_identical_round_is_stable(self):
         policy = _bound_policy()
@@ -117,7 +118,7 @@ class TestRepeatedRounds:
         first = policy.allocate(jobs, 0.0)
         second = policy.allocate(jobs, 0.0)
         assert second == first
-        assert _count("alg1_memo_hits") >= 1
+        assert _count("alg1_delta_reuses") >= 1
         # Decision dicts are fresh objects: mutating one is harmless.
         second["j0"] = second.get("j0", 0) + 99
         assert policy.allocate(jobs, 0.0) == first
@@ -170,9 +171,7 @@ class TestDeltaFill:
         assert result.degraded == cold.degraded
         assert result.admitted == cold.admitted
         assert result.infeasible_job == cold.infeasible_job
-        assert np.array_equal(
-            result.ledger.available(), cold.ledger.available()
-        )
+        assert np.array_equal(result.ledger.used, cold.ledger.used)
 
     def test_departure_reuses_the_unaffected_prefix(self):
         ctrl = AdmissionController(8)
@@ -285,14 +284,17 @@ class TestDeltaFill:
         assert fast.degraded == slow.degraded
         assert np.array_equal(fast.ledger.used, slow.ledger.used)
 
-    def test_exact_repeat_prefers_the_fill_memo(self):
+    def test_exact_repeat_walks_and_reuses_every_plan(self):
         ctrl = AdmissionController(8)
         infos = [self.a, self.b, self.c]
         first = ctrl.plan_shares(infos, self.grid)
         second = ctrl.plan_shares(infos, self.grid)
-        assert _count("alg1_memo_hits") == 1 and _count("alg1_delta_walks") == 0
-        assert _plans_equal(first.plans, second.plans)
-        assert second.plans["a"] is first.plans["a"]  # shared, not copied
+        assert _count("alg1_delta_walks") == 1
+        assert _count("alg1_delta_reuses") == 3
+        assert _count("alg1_delta_refills") == 0
+        for job_id in first.plans:
+            assert second.plans[job_id] is first.plans[job_id]  # shared
+        self._assert_matches_cold(second, infos)  # ``used`` included
 
     def test_repeating_an_older_fill_walks_against_the_previous(self):
         # Admission's pattern: baseline, trial, then the baseline again.
@@ -303,7 +305,7 @@ class TestDeltaFill:
         ctrl.plan_shares([self.a, self.b, self.c], self.grid)
         probe.reset_counters()
         again = ctrl.plan_shares([self.a, self.c], self.grid)
-        assert _count("alg1_memo_hits") == 0 and _count("alg1_delta_walks") == 1
+        assert _count("alg1_delta_walks") == 1
         self._assert_matches_cold(again, [self.a, self.c])
 
 
@@ -444,8 +446,8 @@ class TestPhaseProbe:
             policy.allocate(jobs, 0.0)
             replayed = probe.end_event()
         assert {"views", "alg1", "alg2"} <= set(solved)
-        # The repeat round replays from the fill memo, which lives inside
-        # the alg1 lap — every phase still shows up.
+        # The repeat round's walk reuses every plan inside the alg1 lap —
+        # every phase still shows up.
         assert {"views", "alg1", "alg2"} <= set(replayed)
 
 
@@ -559,7 +561,6 @@ def test_disrupted_trace_equivalence_and_reuse(monkeypatch):
     assert policy._admission.capacity == 16
     assert policy._admission._previous is not None
     # The incremental layers actually carried load on the cached run.
-    assert counters["alg1_memo_hits"] > 0
     assert counters["alg1_delta_walks"] > 0
     assert counters["alg1_delta_reuses"] > 0
     assert counters["alg1_fast_accepts"] > 0

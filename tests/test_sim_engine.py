@@ -6,6 +6,8 @@ disabled this must hold exactly; with overheads enabled a small safety
 margin restores it.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import ClusterSpec
 from repro.core import ElasticFlowPolicy, JobSpec, JobStatus
-from repro.errors import SchedulingError, SimulationError
+from repro.errors import ConfigurationError, SchedulingError, SimulationError
 from repro.profiles import ThroughputModel
 from repro.sim import ElasticExecutor, SchedulerPolicy, Simulator
 
@@ -161,11 +163,23 @@ class TestPolicyValidation:
             run([spec(0)], policy=self.Starver(), max_events=500)
 
     def test_unbound_policy_rejected(self):
-        from repro.errors import ConfigurationError
-
         policy = ElasticFlowPolicy()
         with pytest.raises(ConfigurationError):
             _ = policy.context
+
+    @pytest.mark.parametrize("slot_seconds", [0.0, -1.0, math.nan, math.inf])
+    def test_invalid_slot_width_rejected_at_construction(self, slot_seconds):
+        policy = ElasticFlowPolicy()
+        with pytest.raises(ConfigurationError):
+            Simulator(
+                SMALL,
+                policy,
+                [spec(0, iters=1000)],
+                throughput=MODEL,
+                slot_seconds=slot_seconds,
+            )
+        with pytest.raises(ConfigurationError):
+            _ = policy.context  # rejected before the policy was bound
 
 
 class TestGuaranteeProperty:
