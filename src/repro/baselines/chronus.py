@@ -53,22 +53,10 @@ class ChronusPolicy(QueueBasedPolicy):
 
     # -------------------------------------------------------------- helpers
     def _grid(self, now: float, jobs: list[Job]) -> SlotGrid:
-        slot = self.context.slot_seconds
-        import math
-
-        finite = [
-            j.spec.effective_deadline
-            for j in jobs
-            if not math.isinf(j.spec.effective_deadline)
-        ]
-        if finite:
-            span = max(finite) - now
-            if span > slot * self.max_horizon:
-                slot = span / self.max_horizon
-        return SlotGrid.for_jobs(
+        return SlotGrid.covering(
             now,
             [j.spec.effective_deadline for j in jobs],
-            slot,
+            self.context.slot_seconds,
             max_horizon=self.max_horizon,
         )
 

@@ -599,8 +599,9 @@ class _PreviousFill:
 class AdmissionController:
     """Algorithm 1: deadline-ordered progressive filling over all jobs.
 
-    On every scheduling event the policy runs Algorithm 1 two to three
-    times (admission baseline, admission trial, then the allocation pass).
+    An arrival runs Algorithm 1 once (the admission trial) and a second
+    time only in the rare case :meth:`try_admit` needs the baseline
+    without the candidate; the allocation pass then runs it once more.
     Every fill runs the commit walk (:meth:`_walk`), which fast-accepts
     unclamped fills from each view's :func:`ladder_rows` table and, when
     the controller's previous fill (``_previous``) ran on the same grid,
@@ -850,16 +851,37 @@ class AdmissionController:
         Jobs that are *already* infeasible (degraded — e.g. their deadlines
         lie in the past) do not veto the newcomer: their guarantee is lost
         either way, so only newly-broken deadlines count against admission.
+
+        The trial fill (``admitted`` plus the candidate) runs first and is
+        the returned result.  A degraded candidate is rejected outright.
+        Otherwise only jobs sorting *after* the candidate in the deadline
+        walk can be newly broken: every fill path is bit-identical to
+        :meth:`_fill_sequential`, and the jobs before the candidate face
+        the same capacity prefix with or without it, so their degraded
+        flags agree in both fills.  The baseline fill (``admitted`` alone)
+        therefore runs only when a trial-degraded job sorts after the
+        candidate (counted as ``alg1_admit_baselines`` in
+        :mod:`repro.perf.probe`); it becomes the controller's previous
+        fill, and the admitted views' working state (``degraded``,
+        ``min_share_plan``) is then the baseline's, not the returned
+        trial's.
         """
+        result = self.plan_shares(admitted + [candidate], grid)
         if candidate.best_effort:
             # Best-effort jobs are always accepted (Section 4.4).
-            result = self.plan_shares(admitted + [candidate], grid)
             result.admitted = True
             return result
-        baseline_degraded = self.plan_shares(admitted, grid).degraded
-        result = self.plan_shares(admitted + [candidate], grid)
-        newly_broken = result.degraded - baseline_degraded - {candidate.job_id}
-        result.admitted = (
-            candidate.job_id not in result.degraded and not newly_broken
-        )
+        if candidate.job_id in result.degraded:
+            result.admitted = False
+            return result
+        key = _deadline_order(candidate)
+        later = {
+            info.job_id
+            for info in admitted
+            if info.job_id in result.degraded and _deadline_order(info) > key
+        }
+        if later:
+            probe.bump("alg1_admit_baselines")
+            later -= self.plan_shares(admitted, grid).degraded
+        result.admitted = not later
         return result

@@ -400,15 +400,11 @@ class ElasticFlowPolicy(SchedulerPolicy):
         widened for this round instead of failing (coarser planning, same
         guarantees).
         """
-        slot = self.context.slot_seconds
-        deadlines = [j.spec.effective_deadline for j in jobs]
-        finite = [d for d in deadlines if not math.isinf(d)]
-        if finite:
-            span = max(finite) - now
-            if span > slot * self.max_horizon:
-                slot = span / self.max_horizon
-        return SlotGrid.for_jobs(
-            now, deadlines, slot, max_horizon=self.max_horizon
+        return SlotGrid.covering(
+            now,
+            [j.spec.effective_deadline for j in jobs],
+            self.context.slot_seconds,
+            max_horizon=self.max_horizon,
         )
 
     def _planning_curve(self, job: Job):

@@ -145,3 +145,31 @@ class SlotGrid:
                 f"slots; increase slot_seconds"
             )
         return SlotGrid(origin=now, slot_seconds=slot_seconds, horizon=horizon)
+
+    @staticmethod
+    def covering(
+        now: float,
+        deadlines: list[float],
+        slot_seconds: float,
+        *,
+        max_horizon: int,
+    ) -> "SlotGrid":
+        """:meth:`for_jobs`, widening the slot instead of failing.
+
+        When the finite deadlines stretch past ``max_horizon`` slots the
+        slot becomes ``span / max_horizon`` (coarser planning, same
+        guarantees).  That quotient is exact for a power-of-two cap; for
+        any other cap it can round low, so ``ceil(span / slot)`` would
+        come out one past the cap, and the slot is then nudged up one
+        float at a time until the horizon fits.
+        """
+        finite = [d for d in deadlines if not math.isinf(d)]
+        if finite:
+            span = max(finite) - now
+            if span > slot_seconds * max_horizon:
+                slot_seconds = span / max_horizon
+            while math.ceil(span / slot_seconds) > max_horizon:
+                slot_seconds = math.nextafter(slot_seconds, math.inf)
+        return SlotGrid.for_jobs(
+            now, deadlines, slot_seconds, max_horizon=max_horizon
+        )

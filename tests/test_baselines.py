@@ -236,6 +236,18 @@ class TestChronus:
         assert decisions["j1"] == 4
 
 
+    def test_widened_slot_fits_a_non_power_of_two_cap(self):
+        # Same widening as ElasticFlowPolicy (SlotGrid.covering): with 600 s
+        # slots ``span / 777`` rounds low and the horizon came out 778.
+        policy = ChronusPolicy(max_horizon=777)
+        policy.bind(PolicyContext(cluster=SMALL, throughput=MODEL, slot_seconds=600.0))
+        far = job(0, deadline_rel=51_839_182.607592285, iters=1000, requested=1)
+        grid = policy._grid(0.0, [far])
+        assert grid.horizon == 777
+        assert grid.end >= far.spec.effective_deadline
+        assert policy.admit(far, [], 0.0)
+
+
 class TestPollux:
     def test_spreads_before_growing(self):
         policy = bound(PolluxPolicy())

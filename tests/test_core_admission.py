@@ -5,6 +5,9 @@ GPU in the first slot and four in the second to meet its deadline) and the
 Fig 3 setup (two jobs that EDF cannot satisfy but one-worker-each can).
 """
 
+from contextlib import nullcontext
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,8 @@ from repro.core import AdmissionController, SlotGrid, progressive_filling
 from repro.core.job import Job, JobSpec
 from repro.core.admission import planning_job
 from repro.errors import ConfigurationError
+from repro.perf import probe
+from repro.perf.tables import batched_solver_disabled, planning_cache_disabled
 from repro.profiles import ThroughputModel
 
 from conftest import synthetic_planning_job
@@ -292,3 +297,123 @@ class TestAdmissionProperties:
             progress = float(np.sum(info.throughput_table[plan] * info.weights))
             assert progress >= info.remaining_iterations - 1e-6
         assert np.all(total <= 4)
+
+
+#: Toy curves for the admission-verdict sweep: Fig 3/4's, a linear one and
+#: one with a plateau between 2 and 4 workers.
+VERDICT_CURVES = (
+    FIG_CURVE,
+    {1: 1.0, 2: 2.0, 3: 3.0, 4: 4.0},
+    {1: 1.0, 2: 1.8, 4: 1.8},
+)
+
+
+@st.composite
+def admission_instances(draw):
+    """An arrival against an admitted set that already holds infeasible jobs.
+
+    Deadlines come from a short list so they tie, and the candidate's id
+    (``j<k>x``) sorts between the admitted ``j<k>`` and ``j<k+1>``, so
+    tied jobs fall on both sides of it.  About a third of the admitted
+    jobs carry far more work than their deadline allows: they are degraded
+    with or without the candidate, before it and after it.
+    """
+    deadlines = st.sampled_from([0.5, 1.0, 2.0, 2.5, 3.0, 4.5, 6.0])
+    n = draw(st.integers(min_value=1, max_value=6))
+    jobs = []
+    for i in range(n):
+        hopeless = draw(st.integers(min_value=0, max_value=2)) == 0
+        work = 50.0 if hopeless else draw(st.floats(min_value=0.3, max_value=10.0))
+        jobs.append((f"j{i}", work, draw(deadlines), draw(st.integers(0, 2))))
+    k = draw(st.integers(min_value=0, max_value=n))
+    candidate = (
+        f"j{k}x",
+        draw(st.floats(min_value=0.3, max_value=10.0)),
+        draw(deadlines),
+        draw(st.integers(0, 2)),
+    )
+    capacity = draw(st.sampled_from([2, 3, 4]))
+    warm = draw(st.booleans())  # a previous fill of the admitted set
+    return capacity, jobs, candidate, warm
+
+
+def _verdict_views(jobs, candidate, grid, capacity):
+    curves = [
+        {size: rate for size, rate in curve.items() if size <= capacity}
+        for curve in VERDICT_CURVES
+    ]
+    views = [
+        replace(
+            synthetic_planning_job(job_id, work, deadline, grid, capacity, curves[curve]),
+            tables_token=i + 1,
+        )
+        for i, (job_id, work, deadline, curve) in enumerate([candidate] + jobs)
+    ]
+    return views[0], views[1:]
+
+
+class TestTrialFirstVerdict:
+    """``try_admit`` runs the trial fill first and the baseline only when
+    a trial-degraded job sorts after the candidate; its verdict must equal
+    the two-fill definition (baseline, trial, newly broken deadlines)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(admission_instances(), st.sampled_from(["production", "reference", "sequential"]))
+    def test_matches_the_two_fill_definition(self, instance, mode):
+        capacity, jobs, candidate, warm = instance
+        grid = SlotGrid(origin=0.0, slot_seconds=1.0, horizon=6)
+        switch = {
+            "production": nullcontext,
+            "reference": planning_cache_disabled,
+            "sequential": batched_solver_disabled,
+        }[mode]
+
+        # The definition, on fresh controllers and fresh views.
+        cand, admitted = _verdict_views(jobs, candidate, grid, capacity)
+        baseline = AdmissionController(capacity).plan_shares(admitted, grid)
+        cand, admitted = _verdict_views(jobs, candidate, grid, capacity)
+        trial = AdmissionController(capacity).plan_shares(admitted + [cand], grid)
+        newly_broken = trial.degraded - baseline.degraded - {cand.job_id}
+        expected = cand.job_id not in trial.degraded and not newly_broken
+        later = {
+            info.job_id
+            for info in admitted
+            if info.job_id in trial.degraded
+            and (info.deadline, info.job_id) > (cand.deadline, cand.job_id)
+        }
+        needs_baseline = cand.job_id not in trial.degraded and bool(later)
+
+        with switch():
+            controller = AdmissionController(capacity)
+            if warm:
+                controller.plan_shares(
+                    _verdict_views(jobs, candidate, grid, capacity)[1], grid
+                )
+            cand, admitted = _verdict_views(jobs, candidate, grid, capacity)
+            fills = []
+            plan_shares = controller.plan_shares
+            controller.plan_shares = lambda infos, g: fills.append(1) or plan_shares(infos, g)
+            probe.reset_counters()
+            result = controller.try_admit(cand, admitted, grid)
+
+        assert result.admitted == expected
+        assert result.infeasible_job == trial.infeasible_job
+        assert result.degraded == trial.degraded
+        assert set(result.plans) == set(trial.plans)
+        for job_id, plan in trial.plans.items():
+            assert np.array_equal(result.plans[job_id], plan)
+        # A clean admit (no trial-degraded job after the candidate) is one fill.
+        assert len(fills) == 1 + needs_baseline
+        assert probe.counters().get("alg1_admit_baselines", 0) == needs_baseline
+
+    def test_already_degraded_later_job_needs_the_baseline(self, unit_grid):
+        """A later job that is infeasible on its own does not veto the
+        newcomer; telling it from a newly broken one takes the baseline."""
+        controller = AdmissionController(1)
+        lost = synthetic_planning_job("lost", 100.0, 4.0, unit_grid, 1, {1: 1.0})
+        newcomer = synthetic_planning_job("new", 1.0, 1.0, unit_grid, 1, {1: 1.0})
+        probe.reset_counters()
+        result = controller.try_admit(newcomer, [lost], unit_grid)
+        assert result.admitted
+        assert result.degraded == {"lost"}
+        assert probe.counters()["alg1_admit_baselines"] == 1

@@ -85,6 +85,16 @@ class TestGrid:
         assert grid.end >= 1e6
         assert grid.slot_seconds > 600.0  # widened
 
+    def test_widened_slot_fits_a_non_power_of_two_cap(self):
+        # ``span / 777`` rounds low here, so ``ceil(span / slot)`` was 778
+        # and ``SlotGrid.for_jobs`` raised in the middle of a run.
+        policy = bound(ElasticFlowPolicy(max_horizon=777))
+        far = job(0, deadline_rel=51_839_182.607592285)
+        grid = policy._grid(0.0, [far])
+        assert grid.horizon == 777
+        assert grid.end >= far.spec.effective_deadline
+        assert policy.admit(job(1, deadline_rel=86400.0, iters=1000), [far], 0.0)
+
     def test_best_effort_only_gives_minimal_grid(self):
         policy = bound(ElasticFlowPolicy())
         grid = policy._grid(50.0, [job(0, best_effort=True)])

@@ -90,3 +90,28 @@ class TestForJobs:
         grid = SlotGrid.for_jobs(42.0, [100.0], 10.0)
         assert grid.origin == 42.0
         assert grid.horizon == 6  # ceil(58 / 10)
+
+
+class TestCovering:
+    def test_keeps_the_slot_when_the_horizon_fits(self):
+        grid = SlotGrid.covering(0.0, [250.0, math.inf], 60.0, max_horizon=8)
+        assert grid.slot_seconds == 60.0
+        assert grid.horizon == 5
+
+    def test_power_of_two_cap_widens_to_the_plain_quotient(self):
+        span = 51_839_182.607592285
+        grid = SlotGrid.covering(0.0, [span], 600.0, max_horizon=2048)
+        assert grid.slot_seconds == span / 2048
+        assert grid.horizon == 2048
+
+    @settings(max_examples=200)
+    @given(
+        span=st.floats(min_value=1.0, max_value=1e9),
+        cap=st.integers(min_value=1, max_value=5000),
+        slot=st.floats(min_value=1.0, max_value=3600.0),
+    )
+    def test_widened_grid_fits_the_cap_and_covers_the_deadline(self, span, cap, slot):
+        grid = SlotGrid.covering(10.0, [10.0 + span], slot, max_horizon=cap)
+        assert grid.horizon <= cap
+        assert grid.slot_seconds >= slot
+        assert grid.end >= 10.0 + span - 1e-6 * span

@@ -207,9 +207,9 @@ class TestEventRowStore:
         grid2 = SlotGrid(origin=0.5, slot_seconds=1.0, horizon=8)
         baseline = self._infos(grid2, ids, 5.0, 4.0)
         ctrl.plan_shares(baseline, grid2)
-        # Arrival trial at the same event: an earlier-deadline candidate
-        # perturbs the suffix, forcing refills of the jobs whose rows the
-        # baseline fill just solved.
+        # A fill with one more job on the same grid: an earlier-deadline
+        # arrival perturbs the suffix, forcing refills of the jobs whose
+        # rows the previous fill just solved.
         arrival = replace(
             synthetic_planning_job(
                 "new", 1.5, 3.4, grid2, self.CAPACITY, self.THR
