@@ -185,14 +185,6 @@ class PlanningJob:
                 return size
         return None
 
-    def sizes_array(self) -> np.ndarray:
-        """``sizes`` as an int64 array, built once per view (hot-loop use)."""
-        arr = self.__dict__.get("_sizes_array")
-        if arr is None:
-            arr = np.asarray(self.sizes, dtype=np.int64)
-            self.__dict__["_sizes_array"] = arr
-        return arr
-
 
 def planning_job(
     job: Job,
@@ -270,18 +262,12 @@ def progressive_filling(
     rounded down to a size it can actually run at.  The returned plan is
     trimmed after the completion slot so later slots stay free for others.
 
-    Two implementations share this contract: a straightforward reference
-    scan that rebuilds the per-slot contribution cap by cap in a Python
-    loop, and a 2-D scan that evaluates every ``(cap, slot)`` pair in one
-    vectorized pass over the job's usable window.  Both select the first
-    cap whose sequential cumulative progress covers the requirement — the
-    2-D scan's row-wise ``cumsum`` performs the identical additions in
-    the identical order — so both produce bit-identical plans;
-    :func:`repro.perf.tables.planning_cache_disabled` switches to the
-    reference scan (this is what the equivalence regression and the
-    benchmark's decision digest verify end to end).  Callers that can
-    prove a fill unclamped skip this function and read the plan off
-    :func:`ladder_rows` instead.
+    With both switches of :mod:`repro.perf.tables` on this is
+    :func:`minimum_share`, the fill both algorithms' production paths
+    call directly.  Either switch routes it to the paper-literal
+    reference scan, which rebuilds the per-slot contribution cap by cap
+    over the full horizon; the two are bit-identical (the equivalence
+    sweeps and the benchmark's decision digest check it end to end).
 
     Args:
         info: Planning view of the job.
@@ -294,67 +280,81 @@ def progressive_filling(
     Returns:
         A full-horizon plan, or ``None`` when no cap satisfies the deadline.
     """
-    if not cache_enabled():
+    if not (cache_enabled() and batching_enabled()):
         return _progressive_filling_reference(
             info, available, start_slot=start_slot, head=head
         )
-    horizon = len(available)
-    plan = np.zeros(horizon, dtype=np.int64)
-    base_progress = 0.0
+    plan = np.zeros(len(available), dtype=np.int64)
     if head is not None:
         plan[:start_slot] = head[:start_slot]
-        if start_slot == 1:
-            # Algorithm 2's tail refills fix exactly one head slot; the
-            # single product is the same multiplication the vector
-            # expression below performs, minus the array round trip.
-            base_progress = float(info.throughput_table[plan[0]]) * float(
-                info.weights[0]
-            )
-        else:
-            base_progress = float(
-                (
-                    info.throughput_table[plan[:start_slot]]
-                    * info.weights[:start_slot]
-                ).sum()
-            )
-    required = info.remaining_iterations - base_progress
+    stop = start_slot + info.window(start_slot)
+    fit = minimum_share(info, plan, start_slot, available[start_slot:stop])
+    return None if fit is None else fit[0]
+
+
+#: :func:`minimum_share`'s cap for a fill that ran the per-cap loop.
+CLAMPED = -1
+
+
+def minimum_share(
+    info: PlanningJob, plan: np.ndarray, start: int, free: np.ndarray
+) -> tuple[np.ndarray, int] | None:
+    """The production fill of Algorithms 1 and 2, written into ``plan``.
+
+    ``plan`` is a full-horizon plan holding the fixed head in the slots
+    before ``start`` and zeros from ``start`` on; ``free`` is the capacity
+    the job may take in each slot of its usable window ``[start, start +
+    info.window(start))``.  Returns ``(plan, cap)`` or ``None`` when no
+    cap meets the deadline.  ``cap`` names how the fill was decided:
+
+    - ``0``: the head alone finishes the work;
+    - ``c*`` (the first cap whose :func:`ladder_rows` row reaches the
+      work) when ``min(free) >= c*``: the lemma there makes the plan
+      ``c*``'s unclamped row, read off the table;
+    - :data:`CLAMPED` otherwise: the paper's per-cap loop on the window,
+      starting at ``c*``.  No cap below it is feasible (a clamped
+      increment never exceeds the unclamped one, and rounding is
+      monotone), and caps sharing a runnable size fill identically, so
+      the loop walks the table's caps only.
+
+    No row reaching the work means no clamped fill does either.  The
+    same additions in the same order as the reference scan, so every
+    plan is bit-identical to it.
+    """
+    if start == 0:
+        required = info.remaining_iterations
+    elif start == 1:
+        # Algorithm 2's tail refills fix one head slot: the single product
+        # is the term the vector sum below would hold.
+        required = info.remaining_iterations - float(
+            info.throughput_table[plan[0]]
+        ) * float(info.weights[0])
+    else:
+        required = info.remaining_iterations - float(
+            (info.throughput_table[plan[:start]] * info.weights[:start]).sum()
+        )
     if required <= _EPS:
-        return plan
-    if not info.sizes:
-        return None
-
-    # Everything the fill decides depends only on capacity inside the
-    # *usable window* — the slots up to the last nonzero weight.  Later
-    # slots contribute no progress and are never written (the completion
-    # slot always lands inside the window, because the progress crossing
-    # happens at a slot with a nonzero contribution), so all vector work
-    # below runs on window-length slices: zero-weight tails add exact
-    # zeros to every cumulative sum, so the shortened arrays produce
-    # bit-identical decisions while the horizon may be an order of
-    # magnitude longer than the window.
-    usable = info.window(start_slot)
-    if usable == 0:
-        return None
-    tail_weights = info.weights[start_slot : start_slot + usable]
-    tail_available = np.maximum(available[start_slot : start_slot + usable], 0)
+        return plan, 0
+    table = ladder_rows(info, start)
     threshold = required - _EPS
-
-    # Evaluate every (cap, slot) pair in one vectorized pass: row `i` of
-    # `progress` is exactly the cumulative-progress array the reference
-    # scan builds for cap `sizes[i]` (cumsum along an axis performs the
-    # same additions in the same sequential order), so selecting the first
-    # feasible row reproduces the reference's cap choice, completion slot,
-    # and plan bit for bit — without a Python-level loop over caps.
-    x2d = info.size_table[np.minimum.outer(info.sizes_array(), tail_available)]
-    progress2d = np.cumsum(info.throughput_table[x2d] * tail_weights, axis=1)
-    feasible = progress2d[:, -1] >= threshold
-    if not feasible.any():
+    index = bisect_left(table.totals, threshold)
+    if index == len(table.totals):
         return None
-    row = int(np.argmax(feasible))
-    progress = progress2d[row]
-    done = int(np.searchsorted(progress, threshold))
-    earlier = float(progress[done - 1]) if done > 0 else 0.0
-    return _emit_plan(info, plan, x2d[row], done, earlier, required, start_slot)
+    cap = table.caps[index]
+    if int(free.min()) >= cap:
+        done, earlier = table.completion(index, threshold)
+        size = int(info.size_table[cap])
+        return _emit_plan(info, plan, size, done, earlier, required, start), cap
+    weights = info.weights[start : table.stop]
+    free = np.maximum(free, 0)
+    for cap in table.caps[index:]:
+        x = info.size_table[np.minimum(cap, free)]
+        progress = np.cumsum(info.throughput_table[x] * weights)
+        if progress[-1] >= threshold:
+            done = int(np.searchsorted(progress, threshold))
+            earlier = float(progress[done - 1]) if done > 0 else 0.0
+            return _emit_plan(info, plan, x, done, earlier, required, start), CLAMPED
+    return None
 
 
 class LadderTable(NamedTuple):
@@ -406,11 +406,12 @@ def ladder_rows(info: PlanningJob, start: int) -> LadderTable:
     **Lemma.**  Let ``c*`` be the first cap whose row reaches ``required -
     EPS``; totals are non-decreasing in the cap, so ``c*`` is
     ``bisect_left(totals, required - EPS)``.  If every usable slot has
-    ``c*`` GPUs free, every row up to ``c*`` is unclamped, so
-    :func:`progressive_filling` emits ``_emit_plan`` of ``c*``'s row; no
-    feasible row means no feasible clamped fill either.  Caps with the
-    same runnable size ``S[c]`` have identical rows, and the scan and the
-    bisect both pick the first, so only the first of each run is kept.
+    ``c*`` GPUs free, every row up to ``c*`` is unclamped, so the
+    reference scan emits ``_emit_plan`` of ``c*``'s row; no feasible row
+    means no feasible clamped fill either.  Caps with the same runnable
+    size ``S[c]`` have identical rows, clamped or not, and the scan and
+    the bisect both pick the first, so only the first of each run is kept
+    (:func:`minimum_share` uses all three facts).
 
     **Prefix lemma.**  ``np.cumsum`` adds sequentially and the window
     opens with ``full`` slots of one weight (:meth:`PlanningJob.full_run`),
@@ -463,7 +464,7 @@ def _emit_plan(
 ) -> np.ndarray:
     """Write the selected cap's fill through its completion slot ``done``.
 
-    Shared by the scan and ladder paths; ``earlier`` is the progress
+    Shared by both branches of :func:`minimum_share`; ``earlier`` is the progress
     before the completion slot.  ``x`` may be a scalar: an unclamped fill
     takes the same size in every slot, so the constant stands in for the
     per-slot row (the broadcast assignment writes the identical values
@@ -490,21 +491,6 @@ def _emit_plan(
     return plan
 
 
-def _ladder_plan(
-    info: PlanningJob,
-    table: LadderTable,
-    index: int,
-    plan: np.ndarray,
-    required: float,
-    threshold: float,
-    start_slot: int,
-) -> np.ndarray:
-    """The unclamped fill of ``table``'s row ``index`` (the lemma's plan)."""
-    done, earlier = table.completion(index, threshold)
-    size = int(info.size_table[table.caps[index]])
-    return _emit_plan(info, plan, size, done, earlier, required, start_slot)
-
-
 def _progressive_filling_reference(
     info: PlanningJob,
     available: np.ndarray,
@@ -515,9 +501,9 @@ def _progressive_filling_reference(
     """The straightforward Algorithm 1 inner loop: full rebuild per cap.
 
     This is the pre-fast-path implementation, kept verbatim as the
-    behavioural yardstick: the cache-disabled escape hatch routes here, and
-    the equivalence tests assert the fast scan reproduces its decisions
-    bit for bit.
+    behavioural yardstick: both reference switches route here, and the
+    equivalence tests assert :func:`minimum_share` reproduces its
+    decisions bit for bit.
     """
     horizon = len(available)
     plan = np.zeros(horizon, dtype=np.int64)
@@ -602,8 +588,8 @@ class AdmissionController:
     An arrival runs Algorithm 1 once (the admission trial) and a second
     time only in the rare case :meth:`try_admit` needs the baseline
     without the candidate; the allocation pass then runs it once more.
-    Every fill runs the commit walk (:meth:`_walk`), which fast-accepts
-    unclamped fills from each view's :func:`ladder_rows` table and, when
+    Every fill runs the commit walk (:meth:`_walk`), which fills each
+    job with :func:`minimum_share` and, when
     the controller's previous fill (``_previous``) ran on the same grid,
     reuses its plans for every job whose view and capacity prefix are
     unchanged; an exact repeat reuses every plan.  Views carry their
@@ -689,15 +675,12 @@ class AdmissionController:
            lowers ``lo`` only to the first slot where its plan differs from
            the old one, so a refill that reproduces its plan perturbs
            nothing.
-        2. Otherwise bisect ``c*`` in the view's :func:`ladder_rows`
-           table.  When every window slot still has
-           ``c*`` GPUs free, the lemma there makes the plan ``c*``'s row:
-           a fast accept.
-        3. Otherwise (a clamped window, no feasible row, no window, no
-           ladder or no work left) run :func:`progressive_filling` against
-           exact availability, exactly as the cold sequential fill would.
+        2. Otherwise fill it with :func:`minimum_share` against exact
+           availability in its window.  An unclamped fill (every window
+           slot still has ``c*`` GPUs free) is a fast accept.
 
-        Fast accepts and fallbacks are counted in :mod:`repro.perf.probe`
+        Fast accepts and the other fills (clamped, infeasible, no window,
+        no ladder or no work left) are counted in :mod:`repro.perf.probe`
         as ``alg1_fast_accepts`` / ``alg1_fallbacks``.
         """
         horizon = grid.horizon
@@ -752,34 +735,16 @@ class AdmissionController:
                         reuses += 1
                         continue
                 refills += 1
-            plan = None
-            required = info.remaining_iterations
-            if w and required > _EPS:
-                table = ladder_rows(info, 0)
-                threshold = required - _EPS
-                index = bisect_left(table.totals, threshold)
-                if (
-                    index < len(table.caps)
-                    and capacity - int(used[:w].max()) >= table.caps[index]
-                ):
-                    fast += 1
-                    plan = _ladder_plan(
-                        info,
-                        table,
-                        index,
-                        np.zeros(horizon, dtype=np.int64),
-                        required,
-                        threshold,
-                        0,
-                    )
-            if plan is None:
+            plan = np.zeros(horizon, dtype=np.int64)
+            fit = minimum_share(info, plan, 0, capacity - used[:w])
+            if fit is not None and fit[1] > 0:
+                fast += 1
+            else:
                 fallbacks += 1
-                plan = progressive_filling(info, capacity - used)
-            if plan is None:
+            if fit is None:
                 info.degraded = True
                 degraded.add(info.job_id)
                 infeasible = infeasible or info.job_id
-                plan = np.zeros(horizon, dtype=np.int64)
             info.min_share_plan = plan
             plans[info.job_id] = plan
             if previous is not None:

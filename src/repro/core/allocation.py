@@ -18,15 +18,14 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left
 from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.admission import (
+    CLAMPED,
     PlanningJob,
-    _ladder_plan,
-    ladder_rows,
+    minimum_share,
     progressive_filling,
 )
 from repro.core.plan import Ledger
@@ -41,26 +40,24 @@ __all__ = ["Upgrade", "allocate_leftover"]
 class Upgrade(NamedTuple):
     """A proposed single-step expansion of one job's slot-0 allocation.
 
-    A proposal takes one of three forms, which decide how the chain loop
-    (:func:`_allocate_chained`) *revalidates* a popped proposal whose
-    ledger version is stale instead of rebuilding it; the paper-literal
-    loop in :func:`allocate_leftover` rebuilds every stale pop:
+    ``cap`` is the tail refill's :func:`~repro.core.admission.minimum_share`
+    cap, and names the form that decides whether the chain loop
+    (:func:`_allocate_chained`) keeps a popped proposal whose ledger
+    version is stale instead of rebuilding it; the paper-literal loop in
+    :func:`allocate_leftover` rebuilds every stale pop:
 
-    - **slot-0-only** (``available is None`` and ``cap == 0``): best-effort
-      and degraded jobs, and SLO jobs whose new head alone finishes the
-      work.  The plan never reaches past slot 0, so the proposal stays
-      valid while ``added_gpus`` fits the unclaimed slot-0 capacity.
-    - **unclamped** (``cap > 0``): the tail refill ran entirely below the
-      leftover capacity, so the plan is a pure function of the job's view
-      and ``cap`` (the lemma in :func:`~repro.core.admission.ladder_rows`).
-      It stays valid while the windowed minimum of availability plus the
-      job's own plan still reaches ``cap``.
-    - **clamped** (``available`` is set): the exact
-      :func:`progressive_filling` refill.  ``available`` snapshots the
-      ledger's unclaimed-capacity vector at proposal time — by
-      *reference*: :meth:`Ledger.available` hands out a frozen array that
-      is rebound, never mutated, on version change.  See
-      :meth:`_LadderRows.still_valid`.
+    - **slot-0-only** (``cap == 0``): best-effort and degraded jobs, and
+      SLO jobs whose new head alone finishes the work.  The plan never
+      reaches past slot 0, so the proposal stays valid while
+      ``added_gpus`` fits the unclaimed slot-0 capacity.
+    - **unclamped** (``cap > 0``, the lemma's ``c*``): the tail refill ran
+      entirely below the leftover capacity, so the plan is a pure function
+      of the job's view and ``cap`` (the lemma in
+      :func:`~repro.core.admission.ladder_rows`).  It stays valid while the
+      windowed minimum of availability plus the job's own plan still
+      reaches ``cap``.
+    - **clamped** (``cap == CLAMPED``): the refill read the availability
+      itself, so a stale one is always rebuilt.
 
     A ``NamedTuple`` rather than a dataclass: the upgrade loop constructs
     one per proposal (a seven-figure count per full-scale run) and tuple
@@ -76,12 +73,11 @@ class Upgrade(NamedTuple):
     priority: float
     tiebreak: float
     ledger_version: int
-    available: np.ndarray | None = None
     #: GPU-time of ``plan`` (SLO proposals only).  After this upgrade is
     #: applied it becomes the job's *current* cost, so the chain loop's
     #: follow-up proposal reuses it instead of recomputing the product.
     new_cost: float = 0.0
-    #: The lemma's ``c*`` for unclamped proposals; ``0`` otherwise.
+    #: The form: ``c*``, ``0`` or ``CLAMPED`` (see above).
     cap: int = 0
 
 
@@ -93,17 +89,8 @@ def _gpu_seconds_to_completion(info: PlanningJob, n_gpus: int, slot_seconds: flo
     return info.remaining_iterations / throughput * n_gpus
 
 
-class _LadderRows:
-    """Unclamped tail fills, plus the state the upgrade loop carries.
-
-    Each job's tail table is ``ladder_rows(info, 1)``.  By the lemma in
-    :func:`repro.core.admission.ladder_rows`, when
-    ``m = min(available + own_plan)[1:stop] >= c*`` the tail refill is
-    ``c*``'s row whatever the availability, so a stale unclamped proposal
-    is still exactly what a rebuild would produce while ``m_now >= c*``.
-    No feasible row, an empty window and a clamped window all fall back
-    to :func:`progressive_filling`.
-    """
+class _ChainState:
+    """The state the chain loop carries across pops."""
 
     def __init__(self, ledger: Ledger) -> None:
         #: Unclaimed slot-0 GPUs, decremented by every apply (the only
@@ -119,27 +106,19 @@ class _LadderRows:
         would produce, checked per form (see :class:`Upgrade`).
 
         A proposal depends only on the job's own plan (unchanged while its
-        one proposal is in flight) and on the capacity left for it.  A
-        clamped refill reads that capacity only inside the usable window
-        and only clamped at the largest runnable size ``top`` (the fill
-        takes ``min(cap, available)`` with ``cap <= top``), so an
-        unchanged clamped windowed vector means a bit-identical rebuild.
+        one proposal is in flight) and on the capacity left for it.  By
+        the lemma in :func:`repro.core.admission.ladder_rows`, an
+        unclamped refill is ``c*``'s row whatever the availability while
+        ``min(available + own_plan)[1:stop] >= c*``.
         """
-        if upgrade.added_gpus > self.avail0:
+        cap = upgrade.cap
+        if upgrade.added_gpus > self.avail0 or cap == CLAMPED:
             return False
-        stop = 1 + info.window(1)
-        if upgrade.cap:
-            window = ledger.available()[1:stop] + ledger.plan_view(upgrade.job_id)[1:stop]
-            return int(window.min()) >= upgrade.cap
-        if upgrade.available is None or stop == 1:
+        if not cap:
             return True
-        top = info.sizes[-1] if info.sizes else 0
-        own = ledger.plan_view(upgrade.job_id)[1:stop]
-        # The snapshot holds the ledger's availability by reference; the
-        # capacity the refill saw is snapshot + the job's own plan.
-        then = np.minimum(np.maximum(upgrade.available[1:stop] + own, 0), top)
-        now = np.minimum(np.maximum(ledger.available()[1:stop] + own, 0), top)
-        return bool(np.array_equal(then, now))
+        stop = 1 + info.window(1)
+        window = ledger.available()[1:stop] + ledger.plan_view(upgrade.job_id)[1:stop]
+        return int(window.min()) >= cap
 
     def current_cost(self, info: PlanningJob, current: np.ndarray) -> float:
         cost = self.costs.get(info.job_id)
@@ -147,49 +126,20 @@ class _LadderRows:
             cost = self.costs[info.job_id] = info.gpu_seconds_of(current)
         return cost
 
-    def unclamped(
-        self,
-        info: PlanningJob,
-        avail_slots: np.ndarray,
-        current: np.ndarray,
-        head: np.ndarray,
-    ) -> tuple[np.ndarray, int] | None:
-        """The slot-0-only or unclamped plan for ``head``, with its ``c*``.
-
-        Returns ``(head, 0)`` when the head alone finishes the work,
-        ``(plan, c*)`` when the lemma applies, and ``None`` when only the
-        exact fill can answer.
-        """
-        required = info.remaining_iterations - float(
-            info.throughput_table[head[0]]
-        ) * float(info.weights[0])
-        if required <= _EPS:
-            return head, 0
-        table = ladder_rows(info, 1)
-        threshold = required - _EPS
-        index = bisect_left(table.totals, threshold)
-        if index == len(table.totals):
-            return None
-        cap = table.caps[index]
-        stop = table.stop
-        if int((avail_slots[1:stop] + current[1:stop]).min()) < cap:
-            return None
-        return _ladder_plan(info, table, index, head, required, threshold, 1), cap
-
 
 def _propose(
     info: PlanningJob,
     ledger: Ledger,
     slot_seconds: float,
-    rows: _LadderRows | None = None,
+    state: _ChainState | None = None,
 ) -> Upgrade | None:
     """Build the next upgrade for one job, or ``None`` if it cannot grow.
 
-    ``rows`` (the chain loop's per-call state) serves slot-0-only and
-    unclamped tails from the ladder table, with ``progressive_filling`` as
-    the fallback, and carries the GPU-time of the job's current plan;
-    without it every tail goes through the fill and every cost is
-    recomputed.
+    With ``state`` (the chain loop's per-call state) the tail refill is
+    :func:`~repro.core.admission.minimum_share`, whose cap names the
+    proposal's form, and the GPU-time of the job's current plan is
+    carried; without it (the paper-literal loop) the tail goes through
+    :func:`progressive_filling` and every cost is recomputed.
     """
     current = ledger.plan_view(info.job_id)
     current_size = int(current[0])
@@ -203,7 +153,7 @@ def _propose(
     # Slot-0 feasibility over the job-inclusive capacity reduces to the
     # ledger's unclaimed slot-0 count (the job's own share cancels), so no
     # capacity vector is materialised unless the tail fill needs one.
-    if added > (rows.avail0 if rows is not None else ledger.available_at(0)):
+    if added > (state.avail0 if state is not None else ledger.available_at(0)):
         return None
 
     if info.best_effort or info.degraded:
@@ -230,29 +180,24 @@ def _propose(
     avail_slots = ledger.available()
     head = np.zeros(ledger.horizon, dtype=np.int64)
     head[0] = next_size
-    fit = None if rows is None else rows.unclamped(info, avail_slots, current, head)
-    if fit is not None:
-        new_plan, cap = fit
-        snapshot = None
-    else:
-        if rows is not None:
-            rows.clamped_fallbacks += 1
-        cap = 0
-        snapshot = avail_slots
-        filled = progressive_filling(
-            info,
-            avail_slots + current,  # capacity if this job replans
-            start_slot=1,
-            head=head,
+    # The capacity if this job replans: its own plan is handed back.
+    if state is None:
+        new_plan = progressive_filling(
+            info, avail_slots + current, start_slot=1, head=head
         )
-        if filled is None:
+        if new_plan is None:
             return None
-        new_plan = filled
-    cost = (
-        rows.current_cost(info, current)
-        if rows is not None
-        else info.gpu_seconds_of(current)
-    )
+        cap = 0  # never read: this loop rebuilds every stale pop
+        cost = info.gpu_seconds_of(current)
+    else:
+        stop = 1 + info.window(1)
+        fit = minimum_share(info, head, 1, avail_slots[1:stop] + current[1:stop])
+        if fit is None or fit[1] == CLAMPED:
+            state.clamped_fallbacks += 1
+        if fit is None:
+            return None
+        new_plan, cap = fit
+        cost = state.current_cost(info, current)
     new_cost = info.gpu_seconds_of(new_plan)
     return Upgrade(
         job_id=info.job_id,
@@ -261,7 +206,6 @@ def _propose(
         priority=(cost - new_cost) / added,
         tiebreak=0.0,
         ledger_version=ledger.version,
-        available=snapshot,
         new_cost=new_cost,
         cap=cap,
     )
@@ -331,39 +275,39 @@ def _allocate_chained(
     the identical ``(-priority, tiebreak, job_id)`` total order (one live
     proposal per job), and a stale pop is applied only when a rebuild
     would reproduce it bit for bit — the rebuilt proposal would pop next
-    anyway — checked per proposal form by :meth:`_LadderRows.still_valid`,
+    anyway — checked per proposal form by :meth:`_ChainState.still_valid`,
     and reproposed otherwise.
     """
-    rows = _LadderRows(ledger)
+    state = _ChainState(ledger)
     heap: list[tuple[float, float, str, Upgrade]] = []
     heappush, heappop = heapq.heappush, heapq.heappop
     for info in infos:
-        upgrade = _propose(info, ledger, slot_seconds, rows)
+        upgrade = _propose(info, ledger, slot_seconds, state)
         if upgrade is not None:
             heappush(heap, (-upgrade.priority, upgrade.tiebreak, info.job_id, upgrade))
 
     # Loop-frequency counters live in locals and flush once per call.
     pops = applies = stale_valid = 0
-    while heap and rows.avail0 > 0:
+    while heap and state.avail0 > 0:
         _, _, job_id, upgrade = heappop(heap)
         pops += 1
         info = by_id[job_id]
         if upgrade.ledger_version != ledger.version:
-            if not rows.still_valid(upgrade, info, ledger):
+            if not state.still_valid(upgrade, info, ledger):
                 # Genuinely stale: the capacity it relied on is gone.
-                nxt = _propose(info, ledger, slot_seconds, rows)
+                nxt = _propose(info, ledger, slot_seconds, state)
                 if nxt is not None:
                     heappush(heap, (-nxt.priority, nxt.tiebreak, job_id, nxt))
                 continue
             stale_valid += 1
         ledger.set_plan(job_id, upgrade.plan, trusted=True)
         applies += 1
-        rows.avail0 -= upgrade.added_gpus
-        rows.costs[job_id] = upgrade.new_cost
+        state.avail0 -= upgrade.added_gpus
+        state.costs[job_id] = upgrade.new_cost
         # With slot-0 capacity spent the follow-up would fail its slot-0
         # gate before doing any work, so skip building it.
-        if rows.avail0 > 0:
-            nxt = _propose(info, ledger, slot_seconds, rows)
+        if state.avail0 > 0:
+            nxt = _propose(info, ledger, slot_seconds, state)
             if nxt is not None:
                 heappush(heap, (-nxt.priority, nxt.tiebreak, job_id, nxt))
 
@@ -372,7 +316,7 @@ def _allocate_chained(
             "alg2_heap_pops": pops,
             "alg2_applies": applies,
             "alg2_stale_valid": stale_valid,
-            "alg2_clamped_fallbacks": rows.clamped_fallbacks,
+            "alg2_clamped_fallbacks": state.clamped_fallbacks,
         }
     )
     return {info.job_id: int(ledger.plan_view(info.job_id)[0]) for info in infos}

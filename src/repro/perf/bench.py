@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import cProfile
 import hashlib
+import heapq
 import json
 import os
 import pstats
@@ -404,6 +405,28 @@ def bench_allocation(n_jobs: int, rounds: int, seed: int) -> dict[str, Any]:
 #: enough operations that per-op dispatch dominates the rng setup.
 BUDDY_BENCH_GPUS = 4096
 BUDDY_BENCH_OPS = 20_000
+#: Iterations of the fixed loop the buddy micro-bench is timed against.
+CALIBRATION_OPS = 800_000
+
+
+def _calibration_wall() -> float:
+    """Wall time of a fixed pure-Python loop of set, heap and bit
+    operations, the allocator's own mix, that no code change moves."""
+    free: set[int] = set()
+    heap: list[int] = []
+    mask = 0
+    start = time.perf_counter()
+    for i in range(CALIBRATION_OPS):
+        offset = (i * 2654435761) & 4095
+        if offset in free:
+            free.discard(offset)
+        else:
+            free.add(offset)
+            heapq.heappush(heap, offset)
+        mask ^= 1 << (offset & 31)
+        if len(heap) > 64:
+            heapq.heappop(heap)
+    return time.perf_counter() - start
 
 
 def bench_buddy(
@@ -414,8 +437,9 @@ def bench_buddy(
     A seeded stream of allocate-biased operations (allocate / free /
     shrink, with an occasional full repack) keeps the allocator loaded so
     ``allocate``'s fit scan and ``free``'s coalescing both run against a
-    realistically fragmented free list.  Reported throughput feeds the
-    ``buddy_bench`` pseudo-fraction in the :mod:`repro.perf.delta` gate.
+    realistically fragmented free list.  ``calibration_s`` times a fixed
+    loop in the same process right after; the ``buddy_bench`` entry of
+    the :mod:`repro.perf.delta` gate is ``wall_s`` over it.
     """
     from repro.cluster.buddy import BuddyAllocator
 
@@ -457,6 +481,7 @@ def bench_buddy(
         "ops": performed,
         "wall_s": round(wall, 4),
         "ops_per_sec": round(performed / wall, 1) if wall > 0 else 0.0,
+        "calibration_s": round(_calibration_wall(), 4),
     }
 
 

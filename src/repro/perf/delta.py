@@ -66,18 +66,19 @@ def _report_fractions(report: dict[str, Any]) -> dict[str, float]:
     """All gated fractions: per-phase shares plus micro-bench pseudo-shares.
 
     The buddy micro-bench rides along as ``buddy_bench`` — its wall time
-    over the cached end-to-end wall.  Dividing two same-process timings
-    keeps the runner-speed immunity the phase fractions have, so a buddy
-    hot-path regression trips the gate without a raw ops/sec floor.  The
-    key is optional on both sides: old baselines simply never gate it, and
-    scales that skip the micro benches (mid/xl) omit it from reports.
+    over its fixed calibration loop (``calibration_s``).  Dividing two
+    same-process timings keeps the runner-speed immunity the phase
+    fractions have, so a buddy hot-path regression trips the gate without
+    a raw ops/sec floor, and the ratio does not move when the end-to-end
+    run speeds up.  The key is optional on both sides: old baselines
+    simply never gate it, and scales that skip the micro benches
+    (mid/xl) omit it from reports.
     """
-    metrics = _cached_metrics(report)
-    fractions = _fractions(metrics)
+    fractions = _fractions(_cached_metrics(report))
     buddy = report.get("buddy")
     if buddy is not None:
         fractions["buddy_bench"] = float(buddy["wall_s"]) / float(
-            metrics["wall_s"]
+            buddy["calibration_s"]
         )
     return fractions
 

@@ -282,16 +282,15 @@ def batching_enabled() -> bool:
 
     With this on (and the caches on), Algorithm 1 runs the admission
     controller's commit walk and Algorithm 2 the chain-native upgrade
-    loop, both of which fast-accept unclamped fills from one
-    ``ladder_rows`` table per job.  Turning either switch off selects
-    the same paper-literal loop per algorithm (Algorithm 1's per-job
-    sequential fill, Algorithm 2's rebuild-every-stale-pop loop); with
-    only this one off, those loops run on the cached tables and the 2-D
-    scan, sharing no ladder code with production: the reference the
-    scale-equivalence benchmarks compare against (running the fully
-    uncached reference at 16k GPUs is intractable).  Call sites must
-    still gate on :func:`cache_enabled` first — the cache-disabled
-    reference always routes to the reference scan.
+    loop, both filling every job with the one production fill, which
+    reads unclamped fills off a ``ladder_rows`` table per job.  Turning
+    either switch off selects the same paper-literal loop per algorithm
+    (Algorithm 1's per-job sequential fill, Algorithm 2's
+    rebuild-every-stale-pop loop) on the paper-literal reference scan;
+    with only this one off, they run on the cached tables, sharing no
+    ladder code with production: the reference the scale-equivalence
+    benchmarks compare against (running the fully uncached reference at
+    16k GPUs is intractable).  Call sites test both switches.
     """
     return _batching
 
@@ -302,8 +301,8 @@ def batched_solver_disabled():
 
     The mid/xl-scale decision-digest checks run under this to compare the
     ladder-table solvers against the paper-literal loop of each algorithm
-    (per-job 2-D scan fills; every stale Algorithm 2 pop rebuilt), the
-    same loops :func:`planning_cache_disabled` runs on the reference scan.
+    (per-job reference-scan fills; every stale Algorithm 2 pop rebuilt),
+    the same loops :func:`planning_cache_disabled` runs on rebuilt tables.
     Every Algorithm 1 fill is solved cold: the admission controller's
     previous fill is neither read nor stored, so the yardstick shares no
     reuse code with production.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from repro.core.admission import PlanningJob
 from repro.core.slots import SlotGrid
@@ -50,3 +51,31 @@ def synthetic_planning_job(
 def unit_grid() -> SlotGrid:
     """Five one-second slots starting at t=0 (for the paper's toy examples)."""
     return SlotGrid(origin=0.0, slot_seconds=1.0, horizon=5)
+
+
+class NumpyDraws:
+    """Primitive draws from a seeded numpy generator."""
+
+    def __init__(self, seed: int) -> None:
+        self._rng = np.random.default_rng(seed)
+
+    def int(self, lo: int, hi: int) -> int:
+        return int(self._rng.integers(lo, hi + 1))
+
+    def float(self, lo: float, hi: float) -> float:
+        return float(self._rng.uniform(lo, hi))
+
+
+class HypothesisDraws:
+    """The same primitive draws through hypothesis (so failures shrink)."""
+
+    def __init__(self, draw) -> None:
+        self._draw = draw
+
+    def int(self, lo: int, hi: int) -> int:
+        return self._draw(st.integers(min_value=lo, max_value=hi))
+
+    def float(self, lo: float, hi: float) -> float:
+        return self._draw(
+            st.floats(min_value=lo, max_value=hi, allow_nan=False)
+        )

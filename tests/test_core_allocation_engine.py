@@ -3,9 +3,9 @@
 The default path (``_allocate_chained``) must be *decision-equivalent* to
 the paper-literal loop — same final plans, bit for bit — because the two
 switches exist precisely to prove that.  Both switches run that one loop
-(every stale pop rebuilt): ``batched_solver_disabled()`` on the cached
-tables and the 2-D scan (the yardstick), ``planning_cache_disabled()`` on
-rebuilt tables and the reference scan.  The equivalence classes here run the identical scenario
+(every stale pop rebuilt) on the reference scan: ``batched_solver_disabled()``
+on the cached tables (the yardstick), ``planning_cache_disabled()`` on
+rebuilt tables.  The equivalence classes here run the identical scenario
 under all three configurations and compare the full per-job plans; the
 differential class does the same over random ladders, throughput tables,
 windows, capacities and registered plans, and checks that the random
@@ -23,12 +23,12 @@ from hypothesis import strategies as st
 
 from repro.core import AdmissionController, Ledger, SlotGrid, allocate_leftover
 from repro.core import allocation
-from repro.core.admission import ladder_rows, progressive_filling
-from repro.core.allocation import _LadderRows, _propose
+from repro.core.admission import CLAMPED, ladder_rows, progressive_filling
+from repro.core.allocation import _ChainState, _propose
 from repro.perf import probe
 from repro.perf.tables import batched_solver_disabled, planning_cache_disabled
 
-from conftest import synthetic_planning_job
+from conftest import HypothesisDraws, NumpyDraws, synthetic_planning_job
 
 FIG_CURVE = {1: 1.0, 2: 1.5, 4: 2.0}
 PLATEAU_CURVE = {1: 1.0, 2: 1.8, 4: 1.8, 8: 3.0}
@@ -172,7 +172,7 @@ class TestPlateauLadder:
 
 # ------------------------------------------------------------ proposal forms
 def _sequential_proposal(info, ledger):
-    """What the paper-literal loop would propose (exact fill, no ladder rows)."""
+    """What the paper-literal loop would propose (no chain state)."""
     return _propose(info, ledger, 1.0)
 
 
@@ -184,10 +184,10 @@ class TestEngineState:
         ledger = self.ledger()
         info = synthetic_planning_job("a", 3.0, 4.0, unit_grid(), 8, FIG_CURVE)
         ledger.set_plan("a", np.array([1, 1, 1, 0, 0], dtype=np.int64))
-        rows = _LadderRows(ledger)
-        upgrade = _propose(info, ledger, 1.0, rows=rows)
+        state = _ChainState(ledger)
+        upgrade = _propose(info, ledger, 1.0, state=state)
         assert upgrade is not None
-        assert upgrade.cap > 0 and upgrade.available is None
+        assert upgrade.cap > 0
         head = np.zeros(5, dtype=np.int64)
         head[0] = 2
         exact = progressive_filling(
@@ -197,7 +197,7 @@ class TestEngineState:
         sequential = _sequential_proposal(info, ledger)
         assert upgrade.priority == sequential.priority
         assert upgrade.new_cost == info.gpu_seconds_of(exact)
-        assert rows.clamped_fallbacks == 0
+        assert state.clamped_fallbacks == 0
 
     def test_clamped_window_falls_back_to_exact_fill(self):
         ledger = self.ledger(capacity=4)
@@ -206,11 +206,11 @@ class TestEngineState:
         # Another job fills slot 2, so a can count only on its own GPU
         # there: below c* = 2, the window is clamped.
         ledger.set_plan("x", np.array([0, 0, 3, 0, 0], dtype=np.int64))
-        rows = _LadderRows(ledger)
-        upgrade = _propose(info, ledger, 1.0, rows=rows)
+        state = _ChainState(ledger)
+        upgrade = _propose(info, ledger, 1.0, state=state)
         assert upgrade is not None
-        assert upgrade.cap == 0 and upgrade.available is not None
-        assert rows.clamped_fallbacks == 1
+        assert upgrade.cap == CLAMPED
+        assert state.clamped_fallbacks == 1
         sequential = _sequential_proposal(info, ledger)
         assert np.array_equal(upgrade.plan, sequential.plan)
         assert upgrade.priority == sequential.priority
@@ -224,53 +224,69 @@ class TestEngineState:
             "be", 5.0, math.inf, grid, 8, FIG_CURVE, best_effort=True
         )
         ledger.set_plan("be", np.zeros(5, dtype=np.int64))
-        rows = _LadderRows(ledger)
+        state = _ChainState(ledger)
         for info in (tiny, be):
-            upgrade = _propose(info, ledger, 1.0, rows=rows)
-            assert upgrade.cap == 0 and upgrade.available is None
+            upgrade = _propose(info, ledger, 1.0, state=state)
+            assert upgrade.cap == 0
             assert not upgrade.plan[1:].any()
             assert np.array_equal(
                 upgrade.plan, _sequential_proposal(info, ledger).plan
             )
-        assert rows.clamped_fallbacks == 0
+        assert state.clamped_fallbacks == 0
 
     def test_stale_unclamped_valid_iff_window_clears_cap(self):
         ledger = self.ledger()
         info = synthetic_planning_job("a", 3.0, 4.0, unit_grid(), 8, FIG_CURVE)
         ledger.set_plan("a", np.array([1, 1, 1, 0, 0], dtype=np.int64))
-        rows = _LadderRows(ledger)
-        upgrade = _propose(info, ledger, 1.0, rows=rows)
+        state = _ChainState(ledger)
+        upgrade = _propose(info, ledger, 1.0, state=state)
         assert upgrade.cap > 0
         # Another job takes capacity in a's window (slot 3, where a holds
         # nothing) but leaves exactly cap free: still valid, and a rebuild
         # reproduces the proposal exactly.
         ledger.set_plan("x", np.array([0, 0, 0, 8 - upgrade.cap, 0], dtype=np.int64))
         assert upgrade.ledger_version != ledger.version
-        assert rows.still_valid(upgrade, info, ledger)
-        rebuilt = _propose(info, ledger, 1.0, rows=_LadderRows(ledger))
+        assert state.still_valid(upgrade, info, ledger)
+        rebuilt = _propose(info, ledger, 1.0, state=_ChainState(ledger))
         assert np.array_equal(rebuilt.plan, upgrade.plan)
         assert rebuilt.priority == upgrade.priority
         # One more GPU taken in the window clamps it: no longer valid.
         ledger.set_plan(
             "x", np.array([0, 0, 0, 9 - upgrade.cap, 0], dtype=np.int64)
         )
-        assert not rows.still_valid(upgrade, info, ledger)
+        assert not state.still_valid(upgrade, info, ledger)
         # Slot 0 exhausted: invalid whatever the window.
-        rows.avail0 = upgrade.added_gpus - 1
-        assert not rows.still_valid(upgrade, info, ledger)
+        state.avail0 = upgrade.added_gpus - 1
+        assert not state.still_valid(upgrade, info, ledger)
+
+    def test_stale_clamped_is_always_rebuilt(self):
+        ledger = self.ledger(capacity=4)
+        info = synthetic_planning_job("a", 5.0, 4.0, unit_grid(), 4, FIG_CURVE)
+        ledger.set_plan("a", np.array([1, 2, 1, 2, 0], dtype=np.int64))
+        ledger.set_plan("x", np.array([0, 0, 3, 0, 0], dtype=np.int64))
+        state = _ChainState(ledger)
+        upgrade = _propose(info, ledger, 1.0, state=state)
+        assert upgrade.cap == CLAMPED
+        # A change outside a's window leaves a rebuild identical, yet the
+        # clamped form is never kept.
+        ledger.set_plan("y", np.array([0, 0, 0, 0, 1], dtype=np.int64))
+        assert upgrade.ledger_version != ledger.version
+        rebuilt = _propose(info, ledger, 1.0, state=_ChainState(ledger))
+        assert np.array_equal(rebuilt.plan, upgrade.plan)
+        assert not state.still_valid(upgrade, info, ledger)
 
     def test_current_cost_memoizes_until_refreshed(self):
         ledger = self.ledger()
         info = synthetic_planning_job("a", 3.0, 4.0, unit_grid(), 4, FIG_CURVE)
-        rows = _LadderRows(ledger)
+        state = _ChainState(ledger)
         plan = np.array([1, 1, 0, 0, 0], dtype=np.int64)
-        cost = rows.current_cost(info, plan)
+        cost = state.current_cost(info, plan)
         assert cost == info.gpu_seconds_of(plan)
         # Served from the memo even for a different array (apply updates it).
         other = np.array([4, 4, 4, 4, 4], dtype=np.int64)
-        assert rows.current_cost(info, other) == cost
-        rows.costs["a"] = 42.0
-        assert rows.current_cost(info, other) == 42.0
+        assert state.current_cost(info, other) == cost
+        state.costs["a"] = 42.0
+        assert state.current_cost(info, other) == 42.0
 
     def test_counters_flush_to_probe(self):
         grid = unit_grid()
@@ -292,34 +308,6 @@ class TestEngineState:
 
 
 # ------------------------------------------------------ differential testing
-class _NumpyDraws:
-    """Primitive draws from a seeded numpy generator."""
-
-    def __init__(self, seed: int) -> None:
-        self._rng = np.random.default_rng(seed)
-
-    def int(self, lo: int, hi: int) -> int:
-        return int(self._rng.integers(lo, hi + 1))
-
-    def float(self, lo: float, hi: float) -> float:
-        return float(self._rng.uniform(lo, hi))
-
-
-class _HypothesisDraws:
-    """The same primitive draws through hypothesis (so failures shrink)."""
-
-    def __init__(self, draw) -> None:
-        self._draw = draw
-
-    def int(self, lo: int, hi: int) -> int:
-        return self._draw(st.integers(min_value=lo, max_value=hi))
-
-    def float(self, lo: float, hi: float) -> float:
-        return self._draw(
-            st.floats(min_value=lo, max_value=hi, allow_nan=False)
-        )
-
-
 def build_instance(d):
     """A random Algorithm 2 input: views and registered plans.
 
@@ -401,7 +389,7 @@ def _solve(instance):
 def assert_matches_reference(instance, result=None):
     """The chain loop's result (solved here unless given) equals both the
     cache-disabled reference and the yardstick: the same paper-literal
-    loop on the reference scan and on the cached tables and 2-D scan."""
+    loop on the reference scan, on rebuilt and on cached tables."""
     decisions, plans = _solve(instance) if result is None else result
     with planning_cache_disabled():
         ref_decisions, ref_plans = _solve(instance)
@@ -415,7 +403,7 @@ def assert_matches_reference(instance, result=None):
 
 @st.composite
 def instances(draw):
-    return build_instance(_HypothesisDraws(draw))
+    return build_instance(HypothesisDraws(draw))
 
 
 def _last_busy(plan) -> int:
@@ -434,9 +422,9 @@ class _Recorder:
         last_priority: dict[str, float] = {}
         views: dict[str, object] = {}
         real_propose = allocation._propose
-        real_fill = allocation.progressive_filling
+        real_fill = allocation.minimum_share
         real_set_plan = Ledger.set_plan
-        real_still_valid = _LadderRows.still_valid
+        real_still_valid = _ChainState.still_valid
 
         def propose(info, ledger, *args, **kwargs):
             upgrade = real_propose(info, ledger, *args, **kwargs)
@@ -445,11 +433,11 @@ class _Recorder:
                 proposals[id(upgrade.plan)] = upgrade
             return upgrade
 
-        def fill(info, available, **kwargs):
-            plan = real_fill(info, available, **kwargs)
-            if plan is None:
+        def fill(*args):
+            fit = real_fill(*args)
+            if fit is None:
                 self.seen["infeasible tail"] += 1
-            return plan
+            return fit
 
         def set_plan(ledger, job_id, plan, *, trusted=False):
             upgrade = proposals.get(id(plan))
@@ -461,14 +449,16 @@ class _Recorder:
                 last_priority[job_id] = upgrade.priority
             real_set_plan(ledger, job_id, plan, trusted=trusted)
 
-        def still_valid(rows, upgrade, info, ledger):
+        def still_valid(state, upgrade, info, ledger):
             # Every stale proposal judged valid must be exactly what the
-            # paper-literal loop's from-scratch rebuild would propose.
-            valid = real_still_valid(rows, upgrade, info, ledger)
-            if valid:
-                form = "unclamped" if upgrade.cap else (
-                    "clamped" if upgrade.available is not None else "slot-0-only"
-                )
+            # paper-literal loop's from-scratch rebuild would propose, and
+            # a stale clamped proposal is always rebuilt.
+            valid = real_still_valid(state, upgrade, info, ledger)
+            if upgrade.cap == CLAMPED:
+                assert not valid
+                self.seen["stale clamped rebuilt"] += 1
+            elif valid:
+                form = "unclamped" if upgrade.cap else "slot-0-only"
                 self.seen[f"stale {form} kept"] += 1
                 rebuilt = real_propose(info, ledger, 1.0)
                 assert rebuilt is not None
@@ -477,16 +467,16 @@ class _Recorder:
             return valid
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(_LadderRows, "still_valid", still_valid)
+            patch.setattr(_ChainState, "still_valid", still_valid)
             patch.setattr(allocation, "_propose", propose)
-            patch.setattr(allocation, "progressive_filling", fill)
+            patch.setattr(allocation, "minimum_share", fill)
             patch.setattr(Ledger, "set_plan", set_plan)
             return _solve(instance)
 
     def _applied(self, upgrade, info, old_plan) -> None:
-        if upgrade.cap:
+        if upgrade.cap > 0:
             self.seen["unclamped"] += 1
-        elif upgrade.available is not None:
+        elif upgrade.cap == CLAMPED:
             self.seen["clamped"] += 1
         elif info.best_effort:
             self.seen["best-effort"] += 1
@@ -513,7 +503,7 @@ class TestChainDifferential:
         behaviour the validity argument must cover."""
         recorder = _Recorder()
         for seed in range(2000):
-            instance = build_instance(_NumpyDraws(seed))
+            instance = build_instance(NumpyDraws(seed))
             assert_matches_reference(instance, recorder.observe(instance))
         expected = {
             "unclamped",
@@ -525,7 +515,7 @@ class TestChainDifferential:
             "priority rose",
             "infeasible tail",
             "stale unclamped kept",
-            "stale clamped kept",
+            "stale clamped rebuilt",
             "stale slot-0-only kept",
         }
         missing = expected - set(recorder.seen)

@@ -5,11 +5,10 @@ table: each row is the table set's constant-weight prefix (shared by every
 view of that curve and capacity) followed by the few remaining weights
 accumulated on top.  These properties check the result is bit-identical to
 the plain ``np.cumsum(thr * weights[start:stop], axis=1)`` rows — totals,
-every row entry, and every unclamped fill against
-:func:`progressive_filling` — on frame-refreshed views at random origins,
-deadlines within a few ulps of a slot boundary, widened slots, infinite
-deadlines, hand-built views with arbitrary weights, and after an
-online-profiling invalidation.
+every row entry, and every unclamped fill against the reference scan —
+on frame-refreshed views at random origins, deadlines within a few ulps
+of a slot boundary, widened slots, infinite deadlines, hand-built views
+with arbitrary weights, and after an online-profiling invalidation.
 """
 
 from bisect import bisect_left
@@ -21,14 +20,13 @@ from hypothesis import strategies as st
 
 from repro.cluster.topology import ClusterSpec
 from repro.core.admission import (
+    CLAMPED,
     PlanningJob,
-    _ladder_plan,
+    _progressive_filling_reference,
     ladder_rows,
-    progressive_filling,
+    minimum_share,
 )
-from repro.core.allocation import _LadderRows
 from repro.core.job import Job, JobSpec
-from repro.core.plan import Ledger
 from repro.core.scheduler import ElasticFlowPolicy
 from repro.numeric import EPS
 from repro.perf import probe
@@ -93,7 +91,7 @@ def works_for(table, draw_index: int, draw_slot: int, ulps: int) -> list[float]:
 
 
 def assert_unclamped_fills_match(info: PlanningJob, works: list[float]):
-    """Every fill the ladder serves equals ``progressive_filling`` on
+    """Every fill the ladder serves equals the reference scan on
     unclamped capacity, from slot 0 (Algorithm 1's fast accept) and from
     slot 1 behind each possible head (Algorithm 2's tail refill)."""
     horizon = len(info.weights)
@@ -102,36 +100,36 @@ def assert_unclamped_fills_match(info: PlanningJob, works: list[float]):
     table = ladder_rows(info, 0)
     for work in works:
         view = replace(info, remaining_iterations=work)
-        expected = progressive_filling(view, free)
-        threshold = work - EPS
-        index = bisect_left(table.totals, threshold)
+        expected = _progressive_filling_reference(view, free)
         if not table.caps or work <= EPS:
             continue
-        if index == len(table.caps):
-            assert expected is None
-            continue
-        plan = _ladder_plan(
-            info, table, index, np.zeros(horizon, dtype=np.int64), work, threshold, 0
+        fit = minimum_share(
+            info_with(info, work), np.zeros(horizon, dtype=np.int64), 0, free[: table.stop]
         )
-        assert np.array_equal(plan, expected), work
+        if bisect_left(table.totals, work - EPS) == len(table.caps):
+            assert fit is None and expected is None
+            continue
+        # Unclamped capacity: the plan is read off the ladder table.
+        assert fit is not None and fit[1] > 0, work
+        assert np.array_equal(fit[0], expected), work
     if horizon < 2:
         return
-    ledger = Ledger(capacity, horizon)
-    current = np.zeros(horizon, dtype=np.int64)
+    stop = 1 + info.window(1)
     for head_size in (0, *info.sizes):
         for work in works:
             view = replace(info, remaining_iterations=work)
             head = np.zeros(horizon, dtype=np.int64)
             head[0] = head_size
-            fit = _LadderRows(ledger).unclamped(
-                info_with(info, work), free, current, head.copy()
+            fit = minimum_share(info_with(info, work), head.copy(), 1, free[1:stop])
+            expected = _progressive_filling_reference(
+                view, free, start_slot=1, head=head
             )
-            expected = progressive_filling(view, free, start_slot=1, head=head)
             if fit is None:
                 # On unclamped capacity only an infeasible tail (no row
                 # reaches the work, or no window) leaves the ladder out.
                 assert expected is None
                 continue
+            assert fit[1] != CLAMPED
             assert np.array_equal(fit[0], expected), (head_size, work)
 
 

@@ -49,6 +49,7 @@ def test_main_writes_report(tmp_path, tiny_bench, capsys):
     buddy = report["buddy"]
     assert buddy["ops"] > 0
     assert buddy["ops_per_sec"] > 0
+    assert buddy["calibration_s"] > 0
 
     counters = e2e["cached"]["counters"]
     assert counters["alg2_applies"] > 0
@@ -94,7 +95,7 @@ def test_decision_digest_orders_outcomes(tiny_bench):
 
 
 # ------------------------------------------------------- perf-delta gate
-def _report(phases, wall=10.0, buddy_wall=None):
+def _report(phases, wall=10.0, buddy_wall=None, calibration=0.5):
     report = {
         "scale": "quick",
         "seed": 0,
@@ -107,7 +108,12 @@ def _report(phases, wall=10.0, buddy_wall=None):
         },
     }
     if buddy_wall is not None:
-        report["buddy"] = {"ops": 1000, "wall_s": buddy_wall, "ops_per_sec": 1.0}
+        report["buddy"] = {
+            "ops": 1000,
+            "wall_s": buddy_wall,
+            "ops_per_sec": 1.0,
+            "calibration_s": calibration,
+        }
     return report
 
 
@@ -137,11 +143,24 @@ class TestDeltaGate:
         baseline = delta.extract_baseline(
             _report({"alg1_s": 3.0}, wall=10.0, buddy_wall=1.0)
         )
-        assert baseline["fractions"]["buddy_bench"] == pytest.approx(0.1)
+        assert baseline["fractions"]["buddy_bench"] == pytest.approx(2.0)
         same = _report({"alg1_s": 3.0}, wall=10.0, buddy_wall=1.0)
         assert delta.check_phases(same, baseline) == []
         regressed = _report({"alg1_s": 3.0}, wall=10.0, buddy_wall=2.0)
         failures = delta.check_phases(regressed, baseline)
+        assert len(failures) == 1 and "buddy_bench" in failures[0]
+
+    def test_buddy_gate_ignores_end_to_end_wins(self):
+        """The buddy wall is judged against its calibration loop, not the
+        end-to-end wall: a halved end-to-end run passes, a doubled buddy
+        wall fails."""
+        baseline = delta.extract_baseline(
+            _report({"alg1_s": 3.0}, wall=10.0, buddy_wall=1.0)
+        )
+        faster = _report({"alg1_s": 1.5}, wall=5.0, buddy_wall=1.0)
+        assert delta.check_phases(faster, baseline) == []
+        slower_buddy = _report({"alg1_s": 3.0}, wall=10.0, buddy_wall=2.0)
+        failures = delta.check_phases(slower_buddy, baseline)
         assert len(failures) == 1 and "buddy_bench" in failures[0]
 
     def test_buddy_key_optional_on_both_sides(self):

@@ -2,13 +2,16 @@
 
 Two layers of evidence:
 
-- A hypothesis sweep over randomized planning instances asserting the
-  vectorized fill and the reference scan return bit-identical plans.
+- A hypothesis sweep and a seeded sweep over randomized planning
+  instances asserting the production fill and the reference scan return
+  bit-identical plans; the seeded sweep also checks that its instances
+  reach every way a fill can be decided.
 - A seeded end-to-end trace simulated twice — planning caches on, then
   under :func:`planning_cache_disabled` — asserting identical outcomes
   job for job (admission, completion time, scale events).
 """
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +26,7 @@ from repro.core.admission import (
     progressive_filling,
 )
 from repro.core.scheduler import ElasticFlowPolicy
+from repro.numeric import EPS
 from repro.core.slots import SlotGrid
 from repro.cluster.topology import ClusterSpec
 from repro.perf.tables import (
@@ -35,70 +39,134 @@ from repro.sim.engine import Simulator
 from repro.traces.synthetic import ClusterTraceConfig, generate_trace
 from repro.traces.workload import build_jobs
 
-from conftest import synthetic_planning_job
+from conftest import HypothesisDraws, NumpyDraws, synthetic_planning_job
 
 
 # --------------------------------------------------------------- unit level
-@st.composite
-def fill_instances(draw):
-    horizon = draw(st.integers(min_value=1, max_value=12))
+def build_fill_instance(d):
+    """A random single-job fill: ladder, throughputs, work, window, head
+    and availability.
+
+    Throughput steps may be flat or falling, so several caps can share
+    one runnable size.  Availability either sits above a drawn floor, so
+    windows range from never clamped to clamped in every slot, or mixes
+    full and nearly empty slots; zeros and (defensively) negatives occur
+    too.
+    """
+    horizon = d.int(1, 12)
     grid = SlotGrid(origin=0.0, slot_seconds=1.0, horizon=horizon)
-    capacity = draw(st.sampled_from([1, 2, 4, 8]))
-    n_sizes = draw(st.integers(min_value=1, max_value=3))
-    sizes = sorted(
-        draw(
-            st.lists(
-                st.sampled_from([1, 2, 3, 4, 6, 8]),
-                min_size=n_sizes,
-                max_size=n_sizes,
-                unique=True,
-            )
-        )
-    )
-    sizes = [s for s in sizes if s <= capacity] or [1]
+    capacity = (1, 2, 4, 8)[d.int(0, 3)]
+    menu = [s for s in (1, 2, 3, 4, 6, 8) if s <= capacity]
+    sizes = sorted({menu[d.int(0, len(menu) - 1)] for _ in range(d.int(1, 5))})
     thr = {}
     last = 0.0
     for s in sizes:
-        last += draw(st.floats(min_value=0.1, max_value=2.0))
+        step = 0.0 if d.int(0, 3) == 0 else d.float(-1.0, 2.0)
+        last = max(0.1, last + step)
         thr[s] = last
-    remaining = draw(st.floats(min_value=0.0, max_value=30.0))
-    deadline = draw(st.floats(min_value=0.5, max_value=float(horizon)))
+    deadline = d.float(0.5, float(horizon))
+    # From "the head alone finishes it" to "no cap can".
+    remaining = d.float(0.0, 1.3) * max(thr.values()) * deadline
     info = synthetic_planning_job("j", remaining, deadline, grid, capacity, thr)
-    # Availability may legitimately include zeros and (defensively) negatives.
-    available = np.array(
-        draw(
-            st.lists(
-                st.integers(min_value=-1, max_value=capacity),
-                min_size=horizon,
-                max_size=horizon,
-            )
-        ),
-        dtype=np.int64,
-    )
-    start_slot = draw(st.integers(min_value=0, max_value=min(1, horizon - 1)))
+    if d.int(0, 1):
+        floor = d.int(-1, capacity)
+        free = [d.int(floor, capacity) for _ in range(horizon)]
+    else:  # full and nearly empty slots: higher caps pay off unevenly
+        free = [capacity if d.int(0, 1) else d.int(-1, 1) for _ in range(horizon)]
+    available = np.array(free, dtype=np.int64)
+    start_slot = d.int(0, min(1, horizon - 1))
     head = None
     if start_slot == 1:
         head = np.zeros(horizon, dtype=np.int64)
-        head[0] = draw(st.sampled_from([0] + sizes))
+        head[0] = ([0] + sizes)[d.int(0, len(sizes))]
     return info, available, start_slot, head
+
+
+@st.composite
+def fill_instances(draw):
+    return build_fill_instance(HypothesisDraws(draw))
+
+
+def assert_fill_matches_reference(info, available, start_slot, head):
+    fast = progressive_filling(info, available, start_slot=start_slot, head=head)
+    reference = _progressive_filling_reference(
+        info, available, start_slot=start_slot, head=head
+    )
+    if reference is None:
+        assert fast is None
+    else:
+        assert fast is not None
+        assert np.array_equal(fast, reference)
+
+
+def fill_outcome(info, available, start_slot, head) -> str:
+    """How the fill is decided, worked out from the paper's loop alone:
+    ``c*`` is the first cap whose unclamped fill covers the work."""
+    required = info.remaining_iterations
+    if head is not None:
+        required -= float(
+            (info.throughput_table[head[:start_slot]] * info.weights[:start_slot]).sum()
+        )
+    if required <= EPS:
+        return "head-only"
+    stop = start_slot + info.window(start_slot)
+    if stop == start_slot:
+        return "no window"
+    weights = info.weights[start_slot:stop]
+    free = np.maximum(available[start_slot:stop], 0)
+
+    def first_feasible(free):
+        for cap in info.sizes:
+            x = info.size_table[np.minimum(cap, free)]
+            if np.cumsum(info.throughput_table[x] * weights)[-1] >= required - EPS:
+                return cap
+        return None
+
+    best = first_feasible(np.full(len(free), max(info.sizes)))
+    if best is None:
+        return "no row reaches the work"
+    if free.min() >= best:
+        return "unclamped"
+    answer = first_feasible(free)
+    if answer is None:
+        return "clamped infeasible"
+    if info.size_table[answer] == info.size_table[best]:
+        return "clamped answered at c*"
+    return "clamped answered above c*"
 
 
 class TestFillEquivalence:
     @settings(max_examples=300, deadline=None)
     @given(fill_instances())
     def test_fast_fill_matches_reference_bit_for_bit(self, instance):
-        info, available, start_slot, head = instance
-        fast = progressive_filling(
-            info, available, start_slot=start_slot, head=head
-        )
-        reference = _progressive_filling_reference(
-            info, available, start_slot=start_slot, head=head
-        )
-        if reference is None:
-            assert fast is None
-        else:
-            assert fast is not None
-            assert np.array_equal(fast, reference)
+        assert_fill_matches_reference(*instance)
+
+    def test_seeded_fills_reach_every_outcome(self):
+        """Seeded instances, each checked against the reference, that
+        between them reach every way a fill can be decided."""
+        seen: Counter[str] = Counter()
+        for seed in range(1500):
+            info, available, start_slot, head = build_fill_instance(NumpyDraws(seed))
+            assert_fill_matches_reference(info, available, start_slot, head)
+            outcome = fill_outcome(info, available, start_slot, head)
+            seen[outcome] += 1
+            runnable = info.size_table[list(info.sizes)]
+            if outcome not in ("head-only", "no window") and len(
+                set(runnable.tolist())
+            ) < len(runnable):
+                seen["caps share a runnable size"] += 1
+        expected = {
+            "head-only",
+            "no window",
+            "no row reaches the work",
+            "unclamped",
+            "clamped answered at c*",
+            "clamped answered above c*",
+            "clamped infeasible",
+            "caps share a runnable size",
+        }
+        missing = expected - set(seen)
+        assert not missing, f"no instance reached: {sorted(missing)} ({seen})"
 
     def test_interior_zero_weights_are_respected(self):
         """Hand-built views may carry zero-weight slots *inside* the

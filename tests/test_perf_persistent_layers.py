@@ -225,9 +225,9 @@ class TestEventRowStore:
             "the trial delta never hit the ladder fast accept; the "
             "scenario no longer exercises the reuse tier"
         )
-        # The sequential solver fills the identical trial set with plain
-        # 2-D scans (no ladder tables, no retained fill): every plan must
-        # match bit for bit.
+        # The sequential solver fills the identical trial set with the
+        # reference scan (no ladder tables, no retained fill): every plan
+        # must match bit for bit.
         cold_infos = [
             replace(
                 synthetic_planning_job(
