@@ -63,9 +63,9 @@ class PlanningJob:
     """Everything the planning algorithms need to know about one job.
 
     Table-identity state (tables, sizes, token) is declared *frozen*
-    coherent state: the admission controller's previous fill records each
-    plan's ``tables_token`` and reuses the plan only while the token
-    matches, so mutating it after construction would silently
+    coherent state: the admission controller's repeat key records each
+    view's ``tables_token`` and adopts a previous fill only while every
+    token matches, so mutating it after construction would silently
     desynchronise cached plans — a view is rebuilt, never patched, when
     its tables change.  The event-dependent planning inputs (remaining
     work, padded deadline, weight row) belong to the ``planning_frame``
@@ -500,10 +500,12 @@ def _progressive_filling_reference(
 ) -> np.ndarray | None:
     """The straightforward Algorithm 1 inner loop: full rebuild per cap.
 
-    This is the pre-fast-path implementation, kept verbatim as the
-    behavioural yardstick: both reference switches route here, and the
-    equivalence tests assert :func:`minimum_share` reproduces its
-    decisions bit for bit.
+    This is the pre-fast-path implementation, kept as the behavioural
+    yardstick: both reference switches route here, and the equivalence
+    tests assert :func:`minimum_share` reproduces its decisions bit for
+    bit.  Each cap's row spans ``[start_slot, last nonzero weight]``,
+    found from ``weights`` itself: the slots past it would add exact
+    zeros, so the verdict and the plan are those of a full-horizon scan.
     """
     horizon = len(available)
     plan = np.zeros(horizon, dtype=np.int64)
@@ -519,8 +521,12 @@ def _progressive_filling_reference(
     if required <= _EPS:
         return plan
 
-    tail_available = np.maximum(available[start_slot:], 0)
-    tail_weights = info.weights[start_slot:]
+    nonzero = np.flatnonzero(info.weights[start_slot:])
+    if not nonzero.size:
+        return None
+    stop = start_slot + int(nonzero[-1]) + 1
+    tail_available = np.maximum(available[start_slot:stop], 0)
+    tail_weights = info.weights[start_slot:stop]
     for cap in info.sizes:
         x = info.size_table[np.minimum(cap, tail_available)]
         progress = np.cumsum(info.throughput_table[x] * tail_weights)
@@ -561,43 +567,42 @@ class AdmissionResult:
     degraded: set[str] = field(default_factory=set)
 
 
-@dataclass
-class _PreviousFill:
-    """The controller's last fill, walked against by the next fill on the
-    same grid (:meth:`AdmissionController._walk`).
+class _PreviousFill(NamedTuple):
+    """The controller's last stored fill, keyed by :func:`_repeat_key`.
+    Plans and ``used`` are frozen (the ledger rebinds ``used`` on every
+    edit), so a repeat shares them by reference."""
 
-    Plans are frozen at registration time, so they are kept by reference.
-
-    Attributes:
-        grid: ``(origin, slot_seconds, horizon)`` of the fill's grid.
-        order: The SLO jobs in fill order, each as
-            ``(deadline, job_id, remaining_iterations, tables_token)``.
-        plans: Plan per job id, best-effort zero plans included.
-        degraded: Jobs whose deadlines were unmeetable in that fill.
-    """
-
-    grid: tuple[float, float, int]
-    order: list[tuple[float, str, float, int]]
+    key: tuple
     plans: dict[str, np.ndarray]
+    used: np.ndarray
     degraded: frozenset[str]
+    infeasible: str | None
+
+
+def _repeat_key(ordered: list[PlanningJob], grid: SlotGrid) -> tuple | None:
+    """Every input an Algorithm 1 fill reads, in deadline order, or
+    ``None`` when a view carries a hand-built table (token ``-1``)."""
+    if any(info.tables_token < 0 for info in ordered):
+        return None
+    jobs = tuple(
+        (i.deadline, i.job_id, i.remaining_iterations, i.tables_token, i.best_effort)
+        for i in ordered
+    )
+    return (grid.origin, grid.slot_seconds, grid.horizon, jobs)
 
 
 class AdmissionController:
     """Algorithm 1: deadline-ordered progressive filling over all jobs.
 
-    An arrival runs Algorithm 1 once (the admission trial) and a second
-    time only in the rare case :meth:`try_admit` needs the baseline
-    without the candidate; the allocation pass then runs it once more.
-    Every fill runs the commit walk (:meth:`_walk`), which fills each
-    job with :func:`minimum_share` and, when
-    the controller's previous fill (``_previous``) ran on the same grid,
-    reuses its plans for every job whose view and capacity prefix are
-    unchanged; an exact repeat reuses every plan.  Views carry their
-    planning-table token, so a throughput correction (online profiling)
-    refills the corrected job.  The previous fill is neither read nor
-    stored while either reference switch of :mod:`repro.perf.tables` is
-    active or when any job carries a hand-built table (token ``-1``).
-    Walks are counted in :mod:`repro.perf.probe` (``alg1_delta_*``).
+    An arrival runs Algorithm 1 once (the admission trial), a second time
+    only when :meth:`try_admit` needs the baseline without the candidate,
+    and the allocation pass then repeats the trial.  The controller keeps
+    its last fill (``_previous``) and adopts it whole when the next fill's
+    inputs are identical (an exact repeat, counted as ``alg1_repeats`` in
+    :mod:`repro.perf.probe`); every other fill is a cold commit walk
+    (:meth:`_walk`).  The previous fill is neither read nor stored while
+    either reference switch of :mod:`repro.perf.tables` is active or when
+    any job carries a hand-built table (token ``-1``).
 
     Args:
         capacity: Number of GPUs in the cluster.
@@ -609,6 +614,7 @@ class AdmissionController:
         self.capacity = capacity
         self._previous: _PreviousFill | None = None
 
+    @mutates("Ledger._plans", "Ledger._used")
     def plan_shares(
         self, infos: list[PlanningJob], grid: SlotGrid
     ) -> AdmissionResult:
@@ -623,79 +629,65 @@ class AdmissionController:
         which ``infeasible_job`` names, the fill is exactly the hard
         Algorithm 1 of the paper, so ``admitted`` is its verdict.
 
-        One dispatch serves every path: with the planning cache or the
-        ladder tables switched off, :meth:`_fill_sequential` runs;
-        otherwise the commit walk (:meth:`_walk`) runs, against the
-        previous fill when it ran on the same grid and every view carries
-        a token, cold when not.  A fill whose views all carry a token
-        becomes the new previous fill.
+        A fill whose :func:`_repeat_key` equals the previous fill's adopts
+        its plans, ``used``, degraded set and first infeasible job, and
+        restores each view's ``degraded`` and ``min_share_plan``; any
+        other fill runs cold (:meth:`_fill`) and, when keyed, becomes the
+        previous fill.
         """
         ordered = sorted(infos, key=_deadline_order)
+        key = _repeat_key(ordered, grid) if cache_enabled() and batching_enabled() else None
+        previous = self._previous
+        if key is None or previous is None or previous.key != key:
+            result = self._fill(ordered, grid)
+            if key is not None:
+                self._previous = _PreviousFill(
+                    key, dict(result.plans), result.ledger.used,
+                    frozenset(result.degraded), result.infeasible_job,
+                )
+            return result
+        probe.bump("alg1_repeats")
+        plans = previous.plans
+        for info in ordered:
+            info.degraded = info.job_id in previous.degraded
+            info.min_share_plan = plans[info.job_id]
+        ledger = Ledger(self.capacity, grid.horizon)
+        ledger.load_plans(plans, previous.used)
+        return AdmissionResult(
+            admitted=previous.infeasible is None,
+            plans=dict(plans),
+            ledger=ledger,
+            infeasible_job=previous.infeasible,
+            degraded=set(previous.degraded),
+        )
+
+    def _fill(self, ordered: list[PlanningJob], grid: SlotGrid) -> AdmissionResult:
+        """One cold fill of deadline-ordered views; reads and stores no
+        previous fill.  Either reference switch selects
+        :meth:`_fill_sequential`, otherwise the commit walk runs."""
         if not (cache_enabled() and batching_enabled()):
             return self._fill_sequential(ordered, grid)
-        grid_key = (grid.origin, grid.slot_seconds, grid.horizon)
-        tokened = all(info.tables_token >= 0 for info in ordered)
-        previous = self._previous
-        if not tokened or previous is None or previous.grid != grid_key:
-            previous = None
-        result = self._walk(ordered, grid, previous)
-        if tokened:
-            self._previous = _PreviousFill(
-                grid=grid_key,
-                order=[
-                    (info.deadline, info.job_id, info.remaining_iterations,
-                     info.tables_token)
-                    for info in ordered
-                    if not info.best_effort
-                ],
-                plans=dict(result.plans),
-                degraded=frozenset(result.degraded),
-            )
-        return result
+        return self._walk(ordered, grid)
 
     @mutates("Ledger._plans", "Ledger._used")
-    def _walk(
-        self,
-        ordered: list[PlanningJob],
-        grid: SlotGrid,
-        previous: _PreviousFill | None,
-    ) -> AdmissionResult:
+    def _walk(self, ordered: list[PlanningJob], grid: SlotGrid) -> AdmissionResult:
         """Algorithm 1 fill as one deadline-order commit walk.
 
-        A cold fill is a delta fill with no previous fill — every job is
-        an arrival — so one walk serves both (bit-identical to
-        :meth:`_fill_sequential` either way).  For each SLO job:
-
-        1. With a previous fill on the same grid, reuse the job's plan by reference when
-           its view is unchanged and its usable window ends at or before
-           the watermark ``lo`` — the first slot at which any departed
-           plan, arrival or refill has touched capacity in this walk.
-           Windows are prefixes of the slot grid, so ``w <= lo`` is exactly
-           "this job faces a bit-identical capacity prefix".  A refill
-           lowers ``lo`` only to the first slot where its plan differs from
-           the old one, so a refill that reproduces its plan perturbs
-           nothing.
-        2. Otherwise fill it with :func:`minimum_share` against exact
-           availability in its window.  An unclamped fill (every window
-           slot still has ``c*`` GPUs free) is a fast accept.
-
-        Fast accepts and the other fills (clamped, infeasible, no window,
-        no ladder or no work left) are counted in :mod:`repro.perf.probe`
-        as ``alg1_fast_accepts`` / ``alg1_fallbacks``.
+        Each SLO job is filled with :func:`minimum_share` against exact
+        availability in its window, bit-identical to
+        :meth:`_fill_sequential`.  Unclamped fills (every window slot still
+        has ``c*`` GPUs free) and the others (clamped, infeasible, no
+        window, no ladder or no work left) are counted in
+        :mod:`repro.perf.probe` as ``alg1_fast_accepts`` / ``alg1_fallbacks``.
         """
         horizon = grid.horizon
         capacity = self.capacity
-        old = previous.order if previous is not None else []
-        old_plans = previous.plans if previous is not None else {}
-        n_old = len(old)
-        pos = 0
-        lo = horizon  # slots below ``lo`` see a bit-identical used-prefix
         used = np.zeros(horizon, dtype=np.int64)
         plans: dict[str, np.ndarray] = {}
         degraded: set[str] = set()
         infeasible: str | None = None
         zero_plan: np.ndarray | None = None
-        reuses = refills = fast = fallbacks = 0
+        fast = fallbacks = 0
         for info in ordered:
             info.degraded = False
             if info.best_effort:
@@ -705,36 +697,6 @@ class AdmissionController:
                 plans[info.job_id] = zero_plan
                 continue
             w = info.window(0)
-            old_plan = None
-            if previous is not None:
-                okey = (info.deadline, info.job_id)
-                while pos < n_old and (old[pos][0], old[pos][1]) < okey:
-                    # Departed (or re-ordered) job: capacity changes from
-                    # its plan's first occupied slot onward.
-                    nonzero = np.flatnonzero(old_plans[old[pos][1]])
-                    if nonzero.size:
-                        lo = min(lo, int(nonzero[0]))
-                    pos += 1
-                if pos < n_old and (old[pos][0], old[pos][1]) == okey:
-                    entry = old[pos]
-                    pos += 1
-                    old_plan = old_plans[info.job_id]
-                    if (
-                        w <= lo
-                        and entry[2] == info.remaining_iterations
-                        and entry[3] == info.tables_token
-                    ):
-                        if info.job_id in previous.degraded:
-                            info.degraded = True
-                            degraded.add(info.job_id)
-                            infeasible = infeasible or info.job_id
-                        info.min_share_plan = old_plan
-                        plans[info.job_id] = old_plan
-                        if w:
-                            used[:w] += old_plan[:w]
-                        reuses += 1
-                        continue
-                refills += 1
             plan = np.zeros(horizon, dtype=np.int64)
             fit = minimum_share(info, plan, 0, capacity - used[:w])
             if fit is not None and fit[1] > 0:
@@ -747,22 +709,9 @@ class AdmissionController:
                 infeasible = infeasible or info.job_id
             info.min_share_plan = plan
             plans[info.job_id] = plan
-            if previous is not None:
-                if old_plan is not None:
-                    if not np.array_equal(old_plan, plan):
-                        lo = min(lo, int(np.argmax(old_plan != plan)))
-                else:
-                    nonzero = np.flatnonzero(plan)
-                    if nonzero.size:
-                        lo = min(lo, int(nonzero[0]))
             if w:
                 used[:w] += plan[:w]
-        counters = {"alg1_fast_accepts": fast, "alg1_fallbacks": fallbacks}
-        if previous is not None:
-            counters["alg1_delta_walks"] = 1
-            counters["alg1_delta_reuses"] = reuses
-            counters["alg1_delta_refills"] = refills
-        probe.add_counters(counters)
+        probe.add_counters({"alg1_fast_accepts": fast, "alg1_fallbacks": fallbacks})
         ledger = Ledger(capacity, horizon)
         ledger.load_plans(plans, used)
         return AdmissionResult(
@@ -826,10 +775,10 @@ class AdmissionController:
         flags agree in both fills.  The baseline fill (``admitted`` alone)
         therefore runs only when a trial-degraded job sorts after the
         candidate (counted as ``alg1_admit_baselines`` in
-        :mod:`repro.perf.probe`); it becomes the controller's previous
-        fill, and the admitted views' working state (``degraded``,
-        ``min_share_plan``) is then the baseline's, not the returned
-        trial's.
+        :mod:`repro.perf.probe`).  It is a cold :meth:`_fill` that leaves
+        the trial as the previous fill, so the allocation pass after an
+        admission is an exact repeat; the admitted views' working state
+        (``degraded``, ``min_share_plan``) is the baseline's until then.
         """
         result = self.plan_shares(admitted + [candidate], grid)
         if candidate.best_effort:
@@ -847,6 +796,7 @@ class AdmissionController:
         }
         if later:
             probe.bump("alg1_admit_baselines")
-            later -= self.plan_shares(admitted, grid).degraded
+            baseline = self._fill(sorted(admitted, key=_deadline_order), grid)
+            later -= baseline.degraded
         result.admitted = not later
         return result

@@ -55,8 +55,8 @@ class _PlanningFrame:
     padding``), the weight rows and window ends equal
     ``weights_until``/per-view windows (the slot-grid property tests pin
     this), and write-backs go through ``.tolist()`` so views keep
-    carrying plain Python floats — the previous fill compares the
-    identical values either way.
+    carrying plain Python floats — the admission controller's repeat key
+    compares the identical values either way.
 
     The same pass seeds each view's full-slot run
     (:meth:`PlanningJob.full_run`, same rule) next to its window memo: one
@@ -313,8 +313,8 @@ class ElasticFlowPolicy(SchedulerPolicy):
 
         No event-level result cache lives here (grids re-anchor per event,
         so cross-event hits are impossible — see ``docs/performance.md``);
-        a repeated solve *within* one event is a commit walk that reuses
-        every plan of the admission controller's previous fill.
+        a repeated solve *within* one event (the allocation pass after an
+        admission) adopts the admission controller's previous fill whole.
         """
         if not active:
             return {}

@@ -639,10 +639,7 @@ def main(argv: list[str] | None = None) -> int:
         + f" | other {phases['other_s']:.1f}s"
     )
     counters = e2e["cached"]["counters"]
-    print(
-        f"counters: alg1 delta {counters.get('alg1_delta_walks', 0)} walks "
-        f"({counters.get('alg1_delta_reuses', 0)} reused / "
-        f"{counters.get('alg1_delta_refills', 0)} refilled)"
-    )
+    fills = counters.get("alg1_fast_accepts", 0) + counters.get("alg1_fallbacks", 0)
+    print(f"counters: alg1 {counters.get('alg1_repeats', 0)} repeats / {fills} fills")
     print(f"report written to {output}")
     return 0

@@ -15,9 +15,9 @@ Contract (see ``docs/performance.md``):
   :func:`invalidate_planning_tables` whenever its answers move; the
   online model does this whenever an observation moves a correction.
 - Every table set carries a monotonically increasing ``token``.  Downstream
-  memoisation (the admission controller's previous fill) records this
-  token with each plan, so a rebuilt table automatically invalidates every
-  dependent cached plan.
+  memoisation (the admission controller's repeat key) records this token
+  for each view, so a rebuilt table automatically invalidates every
+  dependent cached fill.
 - Each table set lazily carries its :class:`LadderPrefix`
   (``PlanningTables.ladder``): the distinct ladder and its constant-slot
   prefix, shared by every planning view of that curve and capacity and
@@ -304,8 +304,8 @@ def batched_solver_disabled():
     (per-job reference-scan fills; every stale Algorithm 2 pop rebuilt),
     the same loops :func:`planning_cache_disabled` runs on rebuilt tables.
     Every Algorithm 1 fill is solved cold: the admission controller's
-    previous fill is neither read nor stored, so the yardstick shares no
-    reuse code with production.
+    previous fill is neither read nor stored, so the yardstick repeats no
+    fill.
     """
     global _batching
     previous, _batching = _batching, False

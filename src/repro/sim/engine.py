@@ -24,11 +24,7 @@ from repro.errors import PlacementError, SchedulingError, SimulationError
 from repro.numeric import EPS, is_power_of_two
 from repro.perf import probe
 from repro.perf.coherence import coherent, invalidates, keyed, mutates
-from repro.perf.tables import (
-    cache_enabled,
-    curve_revision,
-    tables_global_revision,
-)
+from repro.perf.tables import curve_revision, tables_global_revision
 from repro.profiles.throughput import Placement, ThroughputModel
 from repro.sim.events import Event, EventKind
 from repro.sim.executor import ElasticExecutor
@@ -47,16 +43,16 @@ class _ProgressSoA:
 
     One row per job that was ``RUNNING`` with a placement when the last
     reallocation committed, in ``_active`` iteration order (insertion ==
-    admission order — the same order the scalar loop visits).  The arrays
-    mirror exactly the fields :meth:`repro.core.job.Job.advance` touches,
-    so one numpy expression advances every running job at once; rates are
-    the ones ``_reallocate`` already derived for completion projection, so
-    the vector path performs zero per-advance memo lookups.
+    admission order).  Between reallocations that set is fixed, so these
+    rows are every job that makes progress.  The arrays mirror exactly
+    the fields :meth:`repro.core.job.Job.advance` touches, so one numpy
+    expression advances every running job at once; rates are the ones
+    ``_reallocate`` already derived for completion projection.
 
     ``revision`` pins the planning-table global revision the rates were
-    computed under: an online-profiling curve correction bumps it, which
-    makes :meth:`Simulator._advance_to` fall back to the scalar path (and
-    drop this frame) instead of advancing on stale rates.
+    computed under: when any curve has been invalidated since,
+    :meth:`Simulator._advance_to` re-derives the rates (:meth:`rerate`)
+    before advancing.
     """
 
     __slots__ = (
@@ -82,13 +78,20 @@ class _ProgressSoA:
         self.gsec = np.array([job.gpu_seconds for job in jobs], dtype=np.float64)
         self.revision = revision
 
+    def rerate(self, rates: list[float], revision: int) -> None:
+        """Replace the rates, now valid under global revision ``revision``."""
+        self.rates = np.asarray(rates, dtype=np.float64)
+        self.revision = revision
+
     def advance(self, window: float, now: float) -> None:
         """Vectorized :meth:`Job.advance` over every row, then write back.
 
         Each elementwise operation replays the scalar method's expression
         in the same order on the same float64 values, so the written-back
-        ``iterations_done``/``gpu_seconds`` are bit-identical to a scalar
-        walk.  Write-back is eager because event handlers (completion
+        ``iterations_done``/``gpu_seconds`` are bit-identical to calling
+        ``Job.advance`` row by row, and a row whose stall accounting goes
+        negative raises the same error before any row is written.
+        Write-back is eager because event handlers (completion
         guards, checkpointing on reallocation) read the job objects.
         """
         start = now - window
@@ -137,7 +140,12 @@ class Simulator:
         observation_hook: Optional callback ``(job, n_gpus, rate)`` invoked
             whenever a running job's progress is advanced — the Section 5
             during-execution throughput-profiling feed (see
-            :class:`repro.profiles.online.OnlineThroughputModel`).
+            :class:`repro.profiles.online.OnlineThroughputModel`).  It
+            fires once per running job, in admission order, after every
+            running job has advanced, with the rate the job advanced at.
+            The engine's own curves must not move mid-advance: give the
+            engine the ground-truth model and the online model to the
+            policy only.
     """
 
     def __init__(
@@ -206,9 +214,7 @@ class Simulator:
         # online-profiling correction transparently invalidates the entry.
         self._rate_memo: dict[str, dict[tuple[int, int, int], float]] = {}
         # Stacked progress arrays for the running set, rebuilt by
-        # _rebuild_soa at every reallocation; None whenever the vector
-        # advance path is unavailable (caches off, observation hook
-        # installed, or no running jobs).
+        # _rebuild_soa at every reallocation; None when no job runs.
         self._soa: _ProgressSoA | None = None
         self.timeline = Timeline() if record_timeline else None
         self._record_efficiency = record_efficiency
@@ -446,28 +452,18 @@ class Simulator:
                 f"time went backwards: {time} < {self._now}"
             )
         window = time - self._last_advance
-        if window > 0:
-            soa = self._soa
-            if (
-                soa is not None
-                and cache_enabled()
-                and self.observation_hook is None
-                and soa.revision == tables_global_revision()
-            ):
-                soa.advance(window, time)
-                probe.bump("sim_vector_advances")
-                probe.bump("sim_vector_rows", len(soa.jobs))
-            else:
-                if soa is not None:
-                    # A scalar advance makes the stacked arrays stale;
-                    # drop them until the next reallocation rebuilds.
-                    self._rebuild_soa([], [])
-                for job in self._active.values():
-                    if job.status is JobStatus.RUNNING and job.n_gpus > 0:
-                        rate = self._throughput_of(job)
-                        job.advance(window, rate, time)
-                        if self.observation_hook is not None:
-                            self.observation_hook(job, job.n_gpus, rate)
+        soa = self._soa
+        if window > 0 and soa is not None:
+            revision = tables_global_revision()
+            if soa.revision != revision:
+                soa.rerate([self._throughput_of(job) for job in soa.jobs], revision)
+            soa.advance(window, time)
+            probe.bump("sim_vector_advances")
+            probe.bump("sim_vector_rows", len(soa.jobs))
+            hook = self.observation_hook
+            if hook is not None:
+                for job, rate in zip(soa.jobs, soa.rates.tolist()):
+                    hook(job, job.n_gpus, rate)
         self._now = max(self._now, time)
         self._last_advance = max(self._last_advance, time)
 
@@ -477,17 +473,15 @@ class Simulator:
         # Buddy blocks are contiguous aligned index ranges, so the span of
         # the first `size` GPUs is pure arithmetic — no index-set walk.
         block = self._placement.block_of(job.job_id)
-        if cache_enabled():
-            per_job = self._rate_memo.get(job.job_id)
-            if per_job is None:
-                per_job = self._rate_memo[job.job_id] = {}
-            key = (job.n_gpus, block.offset, curve_revision(curve))
-            rate = per_job.get(key)
-            if rate is None:
-                rate = self._compute_rate(curve, job.n_gpus, block.offset)
-                per_job[key] = rate
-            return rate
-        return self._compute_rate(curve, job.n_gpus, block.offset)
+        per_job = self._rate_memo.get(job.job_id)
+        if per_job is None:
+            per_job = self._rate_memo[job.job_id] = {}
+        key = (job.n_gpus, block.offset, curve_revision(curve))
+        rate = per_job.get(key)
+        if rate is None:
+            rate = self._compute_rate(curve, job.n_gpus, block.offset)
+            per_job[key] = rate
+        return rate
 
     def _evict_rates(self, job: Job) -> None:
         """Drop a completed job's rate-memo entries.
@@ -627,13 +621,9 @@ class Simulator:
         """Replace (or clear) the stacked progress frame.
 
         This is the single mutation point for ``_soa``: reallocation calls
-        it with the fresh running set, the empty-active path and the scalar
-        advance fallback call it with no rows to drop a stale frame.  The
-        frame is withheld entirely when caches are off (the reference
-        run) or an observation hook needs per-job callbacks, so those runs
-        never pay the array gather.
+        it with the fresh running set, and with no rows when nothing runs.
         """
-        if not jobs or self.observation_hook is not None or not cache_enabled():
+        if not jobs:
             self._soa = None
             return
         self._soa = _ProgressSoA(jobs, rates, tables_global_revision())

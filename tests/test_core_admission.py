@@ -391,8 +391,8 @@ class TestTrialFirstVerdict:
                 )
             cand, admitted = _verdict_views(jobs, candidate, grid, capacity)
             fills = []
-            plan_shares = controller.plan_shares
-            controller.plan_shares = lambda infos, g: fills.append(1) or plan_shares(infos, g)
+            fill = controller._fill
+            controller._fill = lambda infos, g: fills.append(1) or fill(infos, g)
             probe.reset_counters()
             result = controller.try_admit(cand, admitted, grid)
 
@@ -406,6 +406,19 @@ class TestTrialFirstVerdict:
         assert len(fills) == 1 + needs_baseline
         assert probe.counters().get("alg1_admit_baselines", 0) == needs_baseline
 
+        # The allocation pass that follows repeats the trial in production
+        # (the baseline never replaces it); the reference switches refill.
+        with switch():
+            again = controller.plan_shares(admitted + [cand], grid)
+        assert len(fills) == 1 + needs_baseline + (mode != "production")
+        assert probe.counters().get("alg1_repeats", 0) == (mode == "production")
+        assert again.degraded == trial.degraded
+        for job_id, plan in trial.plans.items():
+            assert np.array_equal(again.plans[job_id], plan)
+        for info in admitted + [cand]:
+            assert info.degraded == (info.job_id in trial.degraded)
+            assert np.array_equal(info.min_share_plan, trial.plans[info.job_id])
+
     def test_already_degraded_later_job_needs_the_baseline(self, unit_grid):
         """A later job that is infeasible on its own does not veto the
         newcomer; telling it from a newly broken one takes the baseline."""
@@ -417,3 +430,28 @@ class TestTrialFirstVerdict:
         assert result.admitted
         assert result.degraded == {"lost"}
         assert probe.counters()["alg1_admit_baselines"] == 1
+
+    def test_allocation_after_a_baseline_is_a_repeat(self, unit_grid):
+        """The baseline is a cold fill that leaves the trial stored, so
+        the allocation pass after the admission adopts the trial whole
+        and restores the views the baseline rewrote."""
+        controller = AdmissionController(1)
+        lost, newcomer = (
+            replace(synthetic_planning_job(*args, unit_grid, 1, {1: 1.0}), tables_token=i)
+            for i, args in enumerate([("lost", 100.0, 4.0), ("new", 1.0, 1.0)])
+        )
+        probe.reset_counters()
+        trial = controller.try_admit(newcomer, [lost], unit_grid)
+        assert trial.admitted
+        assert probe.counters()["alg1_admit_baselines"] == 1
+        # The baseline (``lost`` alone) left its own plan on ``lost``.
+        assert lost.min_share_plan is not trial.plans["lost"]
+        fills = probe.counters()["alg1_fast_accepts"] + probe.counters()["alg1_fallbacks"]
+        result = controller.plan_shares([lost, newcomer], unit_grid)
+        counters = probe.counters()
+        assert counters["alg1_repeats"] == 1
+        assert counters["alg1_fast_accepts"] + counters["alg1_fallbacks"] == fills
+        assert result.degraded == {"lost"} and lost.degraded
+        for info in (lost, newcomer):
+            assert info.min_share_plan is trial.plans[info.job_id]
+            assert result.plans[info.job_id] is trial.plans[info.job_id]

@@ -59,11 +59,8 @@ def test_main_writes_report(tmp_path, tiny_bench, capsys):
     printed = capsys.readouterr().out
     assert "end-to-end" in printed
     assert "buddy" in printed
-    assert (
-        f"alg1 delta {counters.get('alg1_delta_walks', 0)} walks "
-        f"({counters.get('alg1_delta_reuses', 0)} reused / "
-        f"{counters.get('alg1_delta_refills', 0)} refilled)\n" in printed
-    )
+    fills = counters.get("alg1_fast_accepts", 0) + counters.get("alg1_fallbacks", 0)
+    assert f"alg1 {counters.get('alg1_repeats', 0)} repeats / {fills} fills\n" in printed
 
 
 @pytest.mark.parametrize("suite", ["core", "figures"])

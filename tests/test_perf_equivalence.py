@@ -249,12 +249,12 @@ class TestWindowedSums:
 def controller_scenarios(draw):
     """A randomized multi-job admission instance plus a perturbation
     sequence.  The first step plans a subset of the jobs; each later step
-    either re-plans a new subset with rescaled remaining work (departures,
-    arrivals, watermark reuses and refills), repeats the previous step
-    verbatim (an exact repeat: the walk reuses every plan), repeats it
-    with one job's throughput table scaled under a new token (an
-    online-profiling correction), or repeats it on a grid shifted by one
-    slot (the previous fill must not be walked against)."""
+    either re-plans a new subset with rescaled remaining work (departures
+    and arrivals, filled cold), repeats the previous step verbatim (an
+    exact repeat, adopted whole), repeats it with one job's throughput
+    table scaled under a new token (an online-profiling correction), or
+    repeats it on a grid shifted by one slot (the previous fill must not
+    be adopted)."""
     horizon = draw(st.integers(min_value=4, max_value=10))
     capacity = draw(st.sampled_from([4, 8]))
     n_jobs = draw(st.integers(min_value=2, max_value=5))
@@ -364,8 +364,8 @@ def _run_scenario(scenario, mode):
 
 
 class TestBatchedSolverEquivalence:
-    """The batched commit walk (cold and delta) must be bit-identical to
-    the sequential per-job solver, to the cache-disabled reference and to
+    """The batched commit walk and its exact repeats must be bit-identical
+    to the sequential per-job solver, to the cache-disabled reference and to
     a fresh controller's cold fill across whole perturbation sequences."""
 
     @settings(max_examples=80, deadline=None)

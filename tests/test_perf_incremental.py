@@ -1,7 +1,7 @@
 """Tests for the incremental replanning layer.
 
-Covers the event-delta walk against ``AdmissionController``'s previous
-fill (watermark reuse, exact repeats included) and the ladder-table fast
+Covers ``AdmissionController``'s previous fill (adopted whole on an
+exact repeat, cold after any event delta) and the ladder-table fast
 accepts of the cold walk, plus the phase probe and the policy's single
 controller.  The load-bearing property throughout is
 *bit-identical decisions*: every fast path must reproduce exactly what the
@@ -106,8 +106,8 @@ def _runtime_jobs(n=3) -> list[Job]:
 
 
 class TestRepeatedRounds:
-    """Identical repeat rounds reuse every plan of the admission
-    controller's previous fill (the round-fingerprint layer that used to
+    """Identical repeat rounds adopt the admission controller's previous
+    fill (the round-fingerprint layer that used to
     sit above it structurally never hit across events and was removed —
     see ``docs/performance.md``)."""
 
@@ -118,7 +118,7 @@ class TestRepeatedRounds:
         first = policy.allocate(jobs, 0.0)
         second = policy.allocate(jobs, 0.0)
         assert second == first
-        assert _count("alg1_delta_reuses") >= 1
+        assert _count("alg1_repeats") >= 1
         # Decision dicts are fresh objects: mutating one is harmless.
         second["j0"] = second.get("j0", 0) + 99
         assert policy.allocate(jobs, 0.0) == first
@@ -152,8 +152,15 @@ class TestRepeatedRounds:
 
 
 # ------------------------------------------------------------- delta fill
+def _fills():
+    """Per-job Algorithm 1 fills counted since the last counter reset."""
+    return _count("alg1_fast_accepts") + _count("alg1_fallbacks")
+
+
 class TestDeltaFill:
-    """The event-delta path must be byte-identical to the cold fill."""
+    """After an event delta a fill runs cold; only an exact repeat adopts
+    the previous fill.  Either way the result is byte-identical to a
+    fresh controller's cold fill and to the sequential fill."""
 
     def setup_method(self):
         self.grid = SlotGrid(origin=0.0, slot_seconds=1.0, horizon=6)
@@ -162,37 +169,36 @@ class TestDeltaFill:
         self.c = tokened_job("c", 8.0, 6.0, self.grid, 8, token=3)
         probe.reset_counters()
 
-    def _cold(self, infos):
-        return AdmissionController(8).plan_shares(infos, self.grid)
+    def _assert_matches_cold(self, result, infos, grid=None, capacity=8):
+        grid = grid or self.grid
+        cold = AdmissionController(capacity).plan_shares(infos, grid)
+        with batched_solver_disabled():
+            sequential = AdmissionController(capacity).plan_shares(infos, grid)
+        for other in (cold, sequential):
+            assert _plans_equal(result.plans, other.plans)
+            assert result.degraded == other.degraded
+            assert result.admitted == other.admitted
+            assert result.infeasible_job == other.infeasible_job
+            assert np.array_equal(result.ledger.used, other.ledger.used)
 
-    def _assert_matches_cold(self, result, infos):
-        cold = self._cold(infos)
-        assert _plans_equal(result.plans, cold.plans)
-        assert result.degraded == cold.degraded
-        assert result.admitted == cold.admitted
-        assert result.infeasible_job == cold.infeasible_job
-        assert np.array_equal(result.ledger.used, cold.ledger.used)
+    def _second_fill_is_cold(self, ctrl, infos, grid=None):
+        """Run ``infos`` as the next fill; it must be cold, one fill per SLO job."""
+        probe.reset_counters()
+        result = ctrl.plan_shares(infos, grid or self.grid)
+        assert _count("alg1_repeats") == 0
+        assert _fills() == sum(not info.best_effort for info in infos)
+        return result
 
-    def test_departure_reuses_the_unaffected_prefix(self):
+    def test_departure_fills_cold(self):
         ctrl = AdmissionController(8)
-        first = ctrl.plan_shares([self.a, self.b, self.c], self.grid)
-        assert _count("alg1_delta_walks") == 0
-        second = ctrl.plan_shares([self.a, self.c], self.grid)
-        assert _count("alg1_delta_walks") == 1
-        # `a` precedes the departure: watermark-reused by reference.  `c`
-        # sits behind the freed capacity, so it refills.
-        assert second.plans["a"] is first.plans["a"]
-        assert _count("alg1_delta_reuses") == 1 and _count("alg1_delta_refills") == 1
+        ctrl.plan_shares([self.a, self.b, self.c], self.grid)
+        second = self._second_fill_is_cold(ctrl, [self.a, self.c])
         self._assert_matches_cold(second, [self.a, self.c])
 
-    def test_arrival_refills_only_the_suffix(self):
+    def test_arrival_fills_cold(self):
         ctrl = AdmissionController(8)
-        first = ctrl.plan_shares([self.a, self.c], self.grid)
-        second = ctrl.plan_shares([self.a, self.b, self.c], self.grid)
-        assert _count("alg1_delta_walks") == 1
-        assert second.plans["a"] is first.plans["a"]
-        # The arrival and `c`, which sits behind the new plan, refill.
-        assert _count("alg1_delta_reuses") == 1 and _count("alg1_delta_refills") == 2
+        ctrl.plan_shares([self.a, self.c], self.grid)
+        second = self._second_fill_is_cold(ctrl, [self.a, self.b, self.c])
         self._assert_matches_cold(second, [self.a, self.b, self.c])
 
     @pytest.mark.parametrize(
@@ -207,19 +213,16 @@ class TestDeltaFill:
     )
     def test_view_change_refills_the_changed_job(self, mutate):
         ctrl = AdmissionController(8)
-        first = ctrl.plan_shares([self.a, self.b, self.c], self.grid)
+        ctrl.plan_shares([self.a, self.b, self.c], self.grid)
         b2 = mutate(self.b)
-        second = ctrl.plan_shares([self.a, b2, self.c], self.grid)
-        assert _count("alg1_delta_walks") == 1
-        assert second.plans["a"] is first.plans["a"]
+        second = self._second_fill_is_cold(ctrl, [self.a, b2, self.c])
         self._assert_matches_cold(second, [self.a, b2, self.c])
 
     def test_deadline_change_is_departure_plus_arrival(self):
         ctrl = AdmissionController(8)
         ctrl.plan_shares([self.a, self.b, self.c], self.grid)
         b2 = tokened_job("b", 6.0, 5.0, self.grid, 8, token=2)
-        second = ctrl.plan_shares([self.a, b2, self.c], self.grid)
-        assert _count("alg1_delta_walks") == 1
+        second = self._second_fill_is_cold(ctrl, [self.a, b2, self.c])
         self._assert_matches_cold(second, [self.a, b2, self.c])
 
     def test_best_effort_jobs_stay_zero(self):
@@ -227,22 +230,35 @@ class TestDeltaFill:
         be = tokened_job("be", 4.0, float("inf"), self.grid, 8,
                          token=4, best_effort=True)
         ctrl.plan_shares([self.a, self.b, be], self.grid)
-        second = ctrl.plan_shares([self.a, be], self.grid)
-        assert _count("alg1_delta_walks") == 1
+        second = self._second_fill_is_cold(ctrl, [self.a, be])
         assert not second.plans["be"].any() and not be.degraded
         self._assert_matches_cold(second, [self.a, be])
+        probe.reset_counters()
+        again = ctrl.plan_shares([self.a, be], self.grid)
+        assert _count("alg1_repeats") == 1
+        assert not again.plans["be"].any() and not be.degraded
 
     def test_degraded_flag_survives_reuse(self):
         ctrl = AdmissionController(8)
         hopeless = tokened_job("hopeless", 100.0, 1.0, self.grid, 8, token=5)
         first = ctrl.plan_shares([hopeless, self.c], self.grid)
         assert first.degraded == {"hopeless"}
-        c2 = replace(self.c, remaining_iterations=7.0)
-        second = ctrl.plan_shares([hopeless, c2], self.grid)
-        assert _count("alg1_delta_walks") == 1 and _count("alg1_delta_reuses") == 1
-        assert hopeless.degraded and second.degraded == {"hopeless"}
+        # Another fill (an admission baseline, say) rewrote the views'
+        # working state; the repeat restores it from the previous fill.
+        hopeless.degraded = False
+        self.c.min_share_plan = None
+        probe.reset_counters()
+        second = ctrl.plan_shares([hopeless, self.c], self.grid)
+        assert _count("alg1_repeats") == 1 and _fills() == 0
+        assert hopeless.degraded and not self.c.degraded
+        assert self.c.min_share_plan is first.plans["c"]
+        assert second.degraded == {"hopeless"}
         assert not second.admitted and second.infeasible_job == "hopeless"
-        self._assert_matches_cold(second, [hopeless, c2])
+        self._assert_matches_cold(second, [hopeless, self.c])
+        c2 = replace(self.c, remaining_iterations=7.0)
+        third = self._second_fill_is_cold(ctrl, [hopeless, c2])
+        assert hopeless.degraded and third.degraded == {"hopeless"}
+        self._assert_matches_cold(third, [hopeless, c2])
 
     def test_grid_change_falls_back_to_full_fill(self):
         ctrl = AdmissionController(8)
@@ -250,63 +266,101 @@ class TestDeltaFill:
         shifted = SlotGrid(origin=1.0, slot_seconds=1.0, horizon=6)
         a2 = tokened_job("a", 2.0, 3.0, shifted, 8, token=1)
         b2 = tokened_job("b", 6.0, 5.0, shifted, 8, token=2)
-        result = ctrl.plan_shares([a2, b2], shifted)
-        assert _count("alg1_delta_walks") == 0  # retained fill was for another grid
-        cold = AdmissionController(8).plan_shares([a2, b2], shifted)
-        assert _plans_equal(result.plans, cold.plans)
+        result = self._second_fill_is_cold(ctrl, [a2, b2], shifted)
+        self._assert_matches_cold(result, [a2, b2], shifted)
 
     def test_saturated_window_refill_matches_cold(self):
         # At capacity 5 `c` has no headroom left behind the departure, so
-        # its refill is clamped and must still land on the cold plan.
+        # its fill is clamped and must still land on the cold plan.
         a = tokened_job("a", 2.0, 2.0, self.grid, 5, token=1)
         b = tokened_job("b", 6.0, 4.0, self.grid, 5, token=2)
         c = tokened_job("c", 8.0, 6.0, self.grid, 5, token=3)
         ctrl = AdmissionController(5)
         ctrl.plan_shares([a, b, c], self.grid)
-        second = ctrl.plan_shares([a, c], self.grid)
-        assert _count("alg1_delta_reuses") == 1 and _count("alg1_delta_refills") == 1
-        cold = AdmissionController(5).plan_shares([a, c], self.grid)
-        assert _plans_equal(second.plans, cold.plans)
+        second = self._second_fill_is_cold(ctrl, [a, c])
+        self._assert_matches_cold(second, [a, c], capacity=5)
 
     def test_departure_delta_matches_sequential_solver(self):
-        # The delta walk and the sequential yardstick (which re-solves
-        # every fill cold) must agree bit for bit on the same sequence.
+        # The fill after a departure and the sequential yardstick must
+        # agree bit for bit on the same sequence.
         batched = AdmissionController(8)
         batched.plan_shares([self.a, self.b, self.c], self.grid)
         fast = batched.plan_shares([self.a, self.c], self.grid)
-        assert _count("alg1_delta_walks") == 1
         with batched_solver_disabled():
             sequential = AdmissionController(8)
             sequential.plan_shares([self.a, self.b, self.c], self.grid)
             slow = sequential.plan_shares([self.a, self.c], self.grid)
-        assert _count("alg1_delta_walks") == 1  # the yardstick never walks
+            # The yardstick never stores a fill, so it never repeats one.
+            sequential.plan_shares([self.a, self.c], self.grid)
+        assert _count("alg1_repeats") == 0
+        assert sequential._previous is None
         assert _plans_equal(fast.plans, slow.plans)
         assert fast.degraded == slow.degraded
         assert np.array_equal(fast.ledger.used, slow.ledger.used)
 
-    def test_exact_repeat_walks_and_reuses_every_plan(self):
+    def test_exact_repeat_adopts_every_plan(self):
         ctrl = AdmissionController(8)
         infos = [self.a, self.b, self.c]
         first = ctrl.plan_shares(infos, self.grid)
+        probe.reset_counters()
         second = ctrl.plan_shares(infos, self.grid)
-        assert _count("alg1_delta_walks") == 1
-        assert _count("alg1_delta_reuses") == 3
-        assert _count("alg1_delta_refills") == 0
+        assert _count("alg1_repeats") == 1 and _fills() == 0
         for job_id in first.plans:
             assert second.plans[job_id] is first.plans[job_id]  # shared
-        self._assert_matches_cold(second, infos)  # ``used`` included
+        assert np.shares_memory(second.ledger.used, first.ledger.used)
+        # The result objects themselves are fresh: a caller's edit (as
+        # ``try_admit`` makes to ``admitted``) cannot leak into a repeat.
+        assert second is not first and second.plans is not first.plans
+        second.admitted = False
+        second.degraded.add("a")
+        third = ctrl.plan_shares(infos, self.grid)
+        assert _count("alg1_repeats") == 2
+        assert third.admitted and not third.degraded
+        self._assert_matches_cold(third, infos)  # ``used`` included
 
-    def test_repeating_an_older_fill_walks_against_the_previous(self):
-        # Admission's pattern: baseline, trial, then the baseline again.
-        # Only the trial is kept, so the repeat is a delta walk, and its
-        # plans must equal a cold fill's.
+    def test_repeating_an_older_fill_fills_cold(self):
+        # Only the last stored fill is kept: filling the first job set
+        # again after another one is cold.
         ctrl = AdmissionController(8)
         ctrl.plan_shares([self.a, self.c], self.grid)
         ctrl.plan_shares([self.a, self.b, self.c], self.grid)
-        probe.reset_counters()
-        again = ctrl.plan_shares([self.a, self.c], self.grid)
-        assert _count("alg1_delta_walks") == 1
+        again = self._second_fill_is_cold(ctrl, [self.a, self.c])
         self._assert_matches_cold(again, [self.a, self.c])
+
+    def test_hand_built_tables_never_repeat(self):
+        # Token -1 names no table build, so such a fill is never stored.
+        hand_built = replace(self.b, tables_token=-1)
+        ctrl = AdmissionController(8)
+        ctrl.plan_shares([self.a, hand_built], self.grid)
+        assert ctrl._previous is None
+        second = self._second_fill_is_cold(ctrl, [self.a, hand_built])
+        self._assert_matches_cold(second, [self.a, hand_built])
+
+    @pytest.mark.parametrize(
+        "field",
+        ["origin", "slot_seconds", "horizon", "deadline", "job_id",
+         "remaining_iterations", "tables_token", "best_effort"],
+    )
+    def test_every_key_field_is_read(self, field):
+        """A fill differing from the previous one in any single input the
+        fill reads is cold, and equals a fresh cold fill."""
+        grid, infos = self.grid, [self.a, self.b, self.c]
+        if field in ("origin", "slot_seconds", "horizon"):
+            value = {"origin": 1.0, "slot_seconds": 2.0, "horizon": 7}[field]
+            grid = replace(grid, **{field: value})
+        else:
+            value = {
+                "deadline": self.b.deadline + 0.5,
+                "job_id": "b2",
+                "remaining_iterations": self.b.remaining_iterations - 1.0,
+                "tables_token": 99,
+                "best_effort": True,
+            }[field]
+            infos = [self.a, replace(self.b, **{field: value}), self.c]
+        ctrl = AdmissionController(8)
+        ctrl.plan_shares([self.a, self.b, self.c], self.grid)
+        result = self._second_fill_is_cold(ctrl, infos, grid)
+        self._assert_matches_cold(result, infos, grid)
 
 
 # ------------------------------------------------------- single controller
@@ -561,6 +615,5 @@ def test_disrupted_trace_equivalence_and_reuse(monkeypatch):
     assert policy._admission.capacity == 16
     assert policy._admission._previous is not None
     # The incremental layers actually carried load on the cached run.
-    assert counters["alg1_delta_walks"] > 0
-    assert counters["alg1_delta_reuses"] > 0
+    assert counters["alg1_repeats"] > 0
     assert counters["alg1_fast_accepts"] > 0

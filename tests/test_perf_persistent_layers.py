@@ -208,8 +208,8 @@ class TestEventRowStore:
         baseline = self._infos(grid2, ids, 5.0, 4.0)
         ctrl.plan_shares(baseline, grid2)
         # A fill with one more job on the same grid: an earlier-deadline
-        # arrival perturbs the suffix, forcing refills of the jobs whose
-        # rows the previous fill just solved.
+        # arrival makes it an event delta, so it runs cold on the ladder
+        # tables the previous fill just built.
         arrival = replace(
             synthetic_planning_job(
                 "new", 1.5, 3.4, grid2, self.CAPACITY, self.THR
@@ -220,10 +220,10 @@ class TestEventRowStore:
         probe.reset_counters()
         trial = ctrl.plan_shares(trial_infos, grid2)
         counters = probe.counters()
-        assert counters.get("alg1_delta_walks") == 1
+        assert "alg1_repeats" not in counters
         assert counters.get("alg1_fast_accepts", 0) > 0, (
             "the trial delta never hit the ladder fast accept; the "
-            "scenario no longer exercises the reuse tier"
+            "scenario no longer exercises the ladder tables"
         )
         # The sequential solver fills the identical trial set with the
         # reference scan (no ladder tables, no retained fill): every plan
@@ -241,7 +241,7 @@ class TestEventRowStore:
             cold_ctrl = AdmissionController(self.CAPACITY)
             cold = cold_ctrl.plan_shares(cold_infos, grid2)
         counters = probe.counters()
-        assert "alg1_delta_walks" not in counters
+        assert "alg1_repeats" not in counters
         assert "alg1_fast_accepts" not in counters
         assert not any("_ladder" in info.__dict__ for info in cold_infos)
         assert set(trial.plans) == set(cold.plans)
